@@ -20,6 +20,10 @@ scripts/generate_series_constants.py (the alpha^2 prefactor of c2, c3, c4 is
 applied at evaluation time).  With the switch at 0.05 the relative error of
 either branch stays below 2e-13 in double precision; at 1e-2 the closed forms
 already lose 1e-12 to cancellation, which is why the switch sits where it does.
+
+A model evaluates all the coefficients it needs in one pass: one Horner
+sweep gives the series of every id on every sample, and the closed forms,
+sharing sin u and cos u, replace it on the samples past the switch.
 """
 import math
 from dataclasses import dataclass
@@ -30,8 +34,11 @@ import numpy as np
 from .errors import DomainError
 
 SERIES_SWITCH = 0.05
+# pseudo-id for sin(u)/u, the factor that keeps the Skyrme denominator finite
+# at the axis; it goes through the same series/closed-form switch
+SINC = 0
 
-ALPHA_FREE = frozenset({1, 5, 6})  # ids whose closed form carries no alpha factor
+ALPHA_FREE = frozenset({SINC, 1, 5, 6})  # ids whose closed form carries no alpha factor
 
 
 def _load_series_table():
@@ -56,43 +63,87 @@ def _load_series_table():
 
 
 _SERIES = _load_series_table()
+_N_TERMS = max(coeffs.size for _, coeffs in _SERIES.values())
+# sin(u)/u = sum_k (-1)^k u^2k / (2k+1)!, as many terms as the tables carry
+_SERIES[SINC] = (False, np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(_N_TERMS)]))
+# one zero-padded row per id; the leading zeros leave Horner's sums unchanged
+_SERIES_ROWS = np.zeros((len(_SERIES), _N_TERMS))
+for _cid, (_, _coeffs) in _SERIES.items():
+    _SERIES_ROWS[_cid, :_coeffs.size] = _coeffs
 
 
 def _series_eval(cid, u):
-    odd, coeffs = _SERIES[cid]
-    val = np.polynomial.polynomial.polyval(u * u, coeffs)
-    return val * u if odd else val
+    """Taylor branch of coefficient cid, or one row per id if cid is a sequence.
+
+    Horner's rule in u^2, element by element over all rows at once: each
+    sample gets the bits polyval would give it, whatever the batch size.
+    """
+    ids = list(np.atleast_1d(cid))
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    x2 = flat * flat
+    coeffs = _SERIES_ROWS[ids]
+    rows = np.repeat(coeffs[:, -1:], flat.size, axis=1)
+    for k in range(_N_TERMS - 2, -1, -1):
+        rows *= x2
+        rows += coeffs[:, k:k + 1]
+    for row, i in zip(rows, ids):
+        if _SERIES[i][0]:  # odd: one extra factor of u
+            row *= flat
+    rows = rows.reshape((len(ids),) + u.shape)
+    return rows if np.ndim(cid) else rows[0]
 
 
 def _closed_eval(cid, u):
-    if cid in (1, 5):
-        return (np.sin(2 * u) - 2 * u) / u**3
-    if cid == 2:
-        su = np.sin(u)
-        return np.sin(2 * u) * (su * su - u * u) / u**5
-    if cid == 3:
-        su = np.sin(u)
-        return 4 * su * (su - u * np.cos(u)) / u**3
-    if cid == 4:
-        return np.sin(2 * u) / u
-    if cid == 6:
-        su, cu = np.sin(u), np.cos(u)
-        return (u - su * cu) * (1 - np.cos(2 * u)) / u**5
-    raise DomainError(f"coefficient id must be in 1..6, got {cid}")
+    """Closed form of coefficient cid, or a list of rows if cid is a sequence.
+
+    sin u, cos u and sin 2u are each computed once, if any row needs them.
+    """
+    ids = set(np.atleast_1d(cid).tolist())
+    su = np.sin(u) if ids & {SINC, 2, 3, 6} else None
+    cu = np.cos(u) if ids & {3, 6} else None
+    s2u = np.sin(2 * u) if ids & {1, 2, 4, 5} else None
+    forms = {
+        SINC: lambda: su / u,
+        1: lambda: (s2u - 2 * u) / u**3,
+        2: lambda: s2u * (su * su - u * u) / u**5,
+        3: lambda: 4 * su * (su - u * cu) / u**3,
+        4: lambda: s2u / u,
+        6: lambda: (u - su * cu) * (1 - np.cos(2 * u)) / u**5,
+    }
+    forms[5] = forms[1]
+    rows = [forms[i]() for i in np.atleast_1d(cid)]
+    return rows if np.ndim(cid) else rows[0]
+
+
+def _coefficients(ids, u, alpha=None):
+    """Rows c_id(u), one per id in ids, from one pass over u.
+
+    The series runs on every sample; the closed forms replace it on the
+    samples at or past the switch.  No finiteness validation: NaN propagates,
+    which the solver relies on.  alpha is needed for ids 2, 3, 4.
+    """
+    for i in ids:
+        if i not in _SERIES:
+            raise DomainError(f"coefficient id must be in 1..6, got {i}")
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    big = np.abs(flat) >= SERIES_SWITCH
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _series_eval(ids, flat)
+        for row, values in zip(rows, _closed_eval(ids, flat[big])):
+            row[big] = values
+    for row, i in zip(rows, ids):
+        if i not in ALPHA_FREE:
+            if alpha is None:
+                raise DomainError(f"coefficient {i} needs alpha")
+            row *= alpha * alpha
+    return rows.reshape((len(ids),) + u.shape)
 
 
 def _tilde_h_raw(cid, u, alpha=None):
     """Evaluate without finiteness validation; NaN propagates (solver relies on it)."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < SERIES_SWITCH
-    safe = np.where(small, 1.0, u)  # keeps the closed form off 0/0
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(small, _series_eval(cid, u), _closed_eval(cid, safe))
-    if cid not in ALPHA_FREE:
-        if alpha is None:
-            raise DomainError(f"coefficient {cid} needs alpha")
-        out = (alpha * alpha) * out
-    return out
+    return _coefficients((cid,), u, alpha)[0]
 
 
 def tilde_h(cid, u, alpha=None):
@@ -116,7 +167,13 @@ def tilde_h(cid, u, alpha=None):
 
 def sinc(u):
     """sin(u)/u with the removable singularity handled exactly at u = 0."""
-    return np.sinc(np.asarray(u, dtype=float) / np.pi)
+    return _tilde_h_raw(SINC, u)
+
+
+def _skyrme_denominator(v, sinc_u, alpha):
+    """1 + 2 alpha^2 (v sin(u)/u)^2 from samples of sin(u)/u; no validation."""
+    s = v * sinc_u
+    return 1.0 + 2.0 * alpha * alpha * s * s
 
 
 def skyrme_denominator(r, v, alpha):
@@ -130,8 +187,7 @@ def skyrme_denominator(r, v, alpha):
         raise DomainError("inputs must be finite")
     if np.any(r < 0):
         raise DomainError("r must be >= 0")
-    s = v * sinc(r * v)
-    out = 1.0 + 2.0 * alpha * alpha * s * s
+    out = _skyrme_denominator(v, sinc(r * v), alpha)
     return float(out) if np.ndim(r) == 0 and np.ndim(v) == 0 else out
 
 

@@ -1,15 +1,18 @@
-"""Uniform radial mesh, parity-aware 4th-order stencils, and radial quadrature.
+"""Uniform radial mesh, parity-aware 4th-order stencil operators, and radial quadrature.
 
 The axis r = 0 is a coordinate singularity, not a physical boundary: fields
 are smooth functions of x in R^5 restricted to a ray, so they extend across
-r = 0 with definite parity (v and v_tt even, v_r odd).  Ghost nodes at
-negative r are filled by that reflection, which keeps the centered stencils
-usable down to j = 0 and, because the odd Taylor coefficients of an even
-field vanish, keeps the truncation error O(dr^4) uniformly up to the axis
-even in the (4/r) v_r term.
+r = 0 with definite parity (v and v_tt even, v_r odd).  The stencil
+operators are built once, at import, with that reflection folded in: the
+rows of nodes 0 and 1 read f(-k dr) = +-f(k dr) from node k.  That keeps the
+centered stencils usable down to j = 0 and, because the odd Taylor
+coefficients of an even field vanish, keeps the truncation error O(dr^4)
+uniformly up to the axis even in the (4/r) v_r term.
 
-The outer edge has no parity to exploit; the last two nodes fall back to
-one-sided/biased 4th-order stencils.
+The outer edge has no parity to exploit; the rows of the last two nodes are
+one-sided/biased 4th-order closures.  The operators hold the integer stencil
+numerators and depend on no grid; the one division by 12 dr^k comes after
+the product, which keeps constants differentiating to an exact zero.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -25,11 +28,64 @@ class Parity(Enum):
     ODD = -1
 
 
+# 4th-order stencils: (offsets from the evaluation node, integer numerators)
+_D1 = ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0))
+_D2 = ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0))
+# edge closures for node N - 1 (biased) and node N (one-sided)
+_D1_EDGE = ((range(-3, 2), (-1.0, 6.0, -18.0, 10.0, 3.0)),
+            (range(-4, 1), (3.0, -16.0, 36.0, -48.0, 25.0)))
+_D2_EDGE = ((range(-4, 2), (1.0, -6.0, 14.0, -4.0, -15.0, 10.0)),
+            (range(-5, 1), (-10.0, 61.0, -156.0, 214.0, -154.0, 45.0)))
+
+
+class _Operator:
+    """Stencils with integer weights for fields of one parity, one output row each.
+
+    The centered band serves nodes 2..N-2 through slices.  The other rows
+    form one small block: nodes 0 and 1 read their samples at r < 0 from the
+    mirror nodes with the parity's sign, nodes N-1 and N carry the edge
+    closures (columns counted from the end).  Every sum runs in stencil
+    order, term by term, as a ghost-extended stencil would.
+    """
+
+    def __init__(self, parity, *stencils):
+        self.bands = [centered for centered, _ in stencils]
+        rows = []
+        for (offsets, weights), edges in stencils:
+            rows += [[(abs(j + o), w * parity.value if j + o < 0 else w)
+                      for o, w in zip(offsets, weights)] for j in (0, 1)]
+            rows += [[(end + o, w) for o, w in zip(offs, ws)]
+                     for end, (offs, ws) in zip((-2, -1), edges)]
+        width = max(map(len, rows))
+        rows = [row + [(0, 0.0)] * (width - len(row)) for row in rows]  # zero-pad
+        self.cols = np.array([[c for c, _ in row] for row in rows])
+        self.weights = np.array([[w for _, w in row] for row in rows])
+
+    def __call__(self, x):
+        """One new array per stencil: the integer-weight sums at every node."""
+        n = x.size
+        out = [np.empty(n) for _ in self.bands]
+        for row, (offsets, weights) in zip(out, self.bands):
+            band = row[2:n - 2]
+            np.multiply(x[2 + offsets[0]:n - 2 + offsets[0]], weights[0], out=band)
+            for o, w in zip(offsets[1:], weights[1:]):
+                band += w * x[2 + o:n - 2 + o]
+        # cumsum adds left to right, as the band does
+        ends = np.cumsum(self.weights * x[self.cols], axis=1)[:, -1].reshape(-1, 4)
+        for row, end in zip(out, ends):
+            row[:2], row[-2:] = end[:2], end[2:]
+        return out
+
+
+_D1_EVEN = _Operator(Parity.EVEN, (_D1, _D1_EDGE))
+_D1_ODD = _Operator(Parity.ODD, (_D1, _D1_EDGE))
+_D12_EVEN = _Operator(Parity.EVEN, (_D1, _D1_EDGE), (_D2, _D2_EDGE))
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     R: float
     N: int
-    ghost_depth: int = 3
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -37,8 +93,6 @@ class RadialGrid:
             raise ConfigError(f"need N >= 8 interior cells, got {self.N}")
         if self.R <= 0:
             raise ConfigError(f"outer radius must be positive, got {self.R}")
-        if self.ghost_depth < 2:
-            raise ConfigError("ghost_depth must be >= 2")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.R, self.N + 1))
 
     @property
@@ -57,81 +111,59 @@ class FieldSamples:
             raise ContractError("odd fields vanish at r = 0")
 
 
-def _extend(values, parity, depth):
-    """Prepend ghost samples f(-k dr) = sign * f(k dr); pad the right for slicing.
+# Unvalidated kernels on raw samples: NaN and inf propagate, which the solver
+# relies on.  d_r and laplacian5 below are the checked public forms.
 
-    The right padding is junk: the last two nodes are overwritten by the
-    one-sided closures, and no interior stencil reaches further than that.
-    """
-    sign = 1.0 if parity is Parity.EVEN else -1.0
-    return np.concatenate([sign * values[depth:0:-1], values, np.zeros(2)])
-
-
-# 4th-order stencils; integer numerators, one division by 12 h^order at the end
-# keeps constants differentiating to an exact zero
-_D1C = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
-_D2C = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
-# edge closures, offsets relative to the evaluation node
-_D1_BIASED = (np.array([-1.0, 6.0, -18.0, 10.0, 3.0]), range(-3, 2))      # node N-1
-_D1_ONESIDED = (np.array([3.0, -16.0, 36.0, -48.0, 25.0]), range(-4, 1))  # node N
-_D2_BIASED = (np.array([1.0, -6.0, 14.0, -4.0, -15.0, 10.0]), range(-4, 2))
-_D2_ONESIDED = (np.array([-10.0, 61.0, -156.0, 214.0, -154.0, 45.0]), range(-5, 1))
+def even_d_r(values, g):
+    """f_r of an even field's samples (odd, so exactly 0 at the axis)."""
+    f_r = _D1_EVEN(values)[0]
+    f_r /= 12.0 * g.dr
+    f_r[0] = 0.0  # the reflected terms cancel up to rounding
+    return f_r
 
 
-def _apply_interior(ext, stencil, depth, n_out):
-    out = np.zeros(n_out)
-    for k, w in enumerate(stencil):
-        if w != 0.0:
-            off = k - 2
-            out += w * ext[depth + off:depth + off + n_out]
-    return out
+def even_derivatives(values, g):
+    """(f_r, f_rr) of an even field's samples, from one pass of the stencils."""
+    f_r, f_rr = _D12_EVEN(values)
+    h = g.dr
+    f_r /= 12.0 * h
+    f_r[0] = 0.0
+    f_rr /= 12.0 * h**2
+    return f_r, f_rr
 
 
-def _apply_edge(values, coeffs_offsets, j):
-    coeffs, offsets = coeffs_offsets
-    return sum(w * values[j + o] for w, o in zip(coeffs, offsets))
+def laplacian5_from(f_r, f_rr, g):
+    """f_rr + (4/r) f_r, the axis value being the limit 5 f_rr(0); overwrites f_rr."""
+    f_rr[1:] += 4.0 * f_r[1:] / g.nodes[1:]
+    f_rr[0] *= 5.0
+    return f_rr
 
 
-def _derivative(f, g, order):
+def _checked(f, g):
     values = f.values
     if values.shape != (g.N + 1,):
         raise ContractError(f"field has {values.shape} samples, grid wants {g.N + 1}")
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite field samples")
-    depth = g.ghost_depth
-    ext = _extend(values, f.parity, depth)
-    h = g.dr
-    stencil = _D1C if order == 1 else _D2C
-    out = _apply_interior(ext, stencil, depth, g.N + 1)
-    if order == 1:
-        out[g.N - 1] = _apply_edge(values, _D1_BIASED, g.N - 1)
-        out[g.N] = _apply_edge(values, _D1_ONESIDED, g.N)
-    else:
-        out[g.N - 1] = _apply_edge(values, _D2_BIASED, g.N - 1)
-        out[g.N] = _apply_edge(values, _D2_ONESIDED, g.N)
-    out /= 12.0 * h**order
-    return out
+    return values
 
 
 def d_r(f, g):
     """4th-order radial derivative; parity flips."""
-    out = _derivative(f, g, 1)
-    flipped = Parity.ODD if f.parity is Parity.EVEN else Parity.EVEN
-    if flipped is Parity.ODD:
-        out[0] = 0.0  # centered stencil gives an exact zero up to rounding
-    return FieldSamples(out, flipped)
+    values = _checked(f, g)
+    if f.parity is Parity.EVEN:
+        return FieldSamples(even_d_r(values, g), Parity.ODD)
+    f_r = _D1_ODD(values)[0]
+    f_r /= 12.0 * g.dr
+    return FieldSamples(f_r, Parity.EVEN)
 
 
 def laplacian5(f, g):
     """f_rr + (4/r) f_r for even fields; the axis value is the limit 5 f_rr(0)."""
     if f.parity is not Parity.EVEN:
         raise ContractError("the 5D radial Laplacian acts on even fields")
-    d2 = _derivative(f, g, 2)
-    d1 = _derivative(f, g, 1)
-    out = np.empty_like(d2)
-    out[1:] = d2[1:] + 4.0 * d1[1:] / g.nodes[1:]
-    out[0] = 5.0 * d2[0]
-    return FieldSamples(out, Parity.EVEN)
+    values = _checked(f, g)
+    return FieldSamples(laplacian5_from(*even_derivatives(values, g), g), Parity.EVEN)
 
 
 def radial_integral(f, g, weight_power=0, warn_tail=True):

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coefficients import _tilde_h_raw, sinc, skyrme_denominator, tilde_h
+from .coefficients import SINC, _coefficients, _skyrme_denominator, _tilde_h_raw, sinc
 from .errors import DomainError
 
 
@@ -70,7 +70,10 @@ class PointData:
 
 
 def _neg_nonlinearity(model, r, v, v_r, v_t):
-    """-N(r, v, v_r, v_t), vectorized; NaN propagates (the solver's blow-up flag)."""
+    """-N(r, v, v_r, v_t), vectorized; NaN propagates (the solver's blow-up flag).
+
+    Every coefficient a model needs comes from one pass of the evaluator.
+    """
     kind, alpha = model.kind, model.alpha
     if kind is Kind.FREE_WAVE_5D:
         return np.zeros_like(np.asarray(v, dtype=float))
@@ -79,18 +82,20 @@ def _neg_nonlinearity(model, r, v, v_r, v_t):
     if kind is Kind.WAVE_MAP:
         return -(_tilde_h_raw(1, u) * v3)
     if kind is Kind.ADKINS_NAPPI:
-        return -((_tilde_h_raw(1, u) + _tilde_h_raw(6, u) * v * v) * v3)
+        c1, c6 = _coefficients((1, 6), u)
+        return -((c1 + c6 * v * v) * v3)
     if kind is Kind.ADKINS_NAPPI_APPROX:
         return -(v3 * v * v)
     if kind is Kind.SKYRME_APPROX:
         a2 = alpha * alpha
         return -(2.0 * a2 * v * (v_t * v_t - v_r * v_r)) / (1.0 + 2.0 * a2 * v * v)
     # full Skyrme
-    num = (_tilde_h_raw(1, u) * v3
-           + _tilde_h_raw(2, u, alpha) * v3 * v * v
-           + _tilde_h_raw(3, u, alpha) * v3 * v_r
-           + _tilde_h_raw(4, u, alpha) * v * (v_t * v_t - v_r * v_r))
-    return -num / skyrme_denominator(r, v, alpha)
+    c1, c2, c3, c4, sinc_u = _coefficients((1, 2, 3, 4, SINC), u, alpha)
+    num = (c1 * v3
+           + c2 * v3 * v * v
+           + c3 * v3 * v_r
+           + c4 * v * (v_t * v_t - v_r * v_r))
+    return -num / _skyrme_denominator(v, sinc_u, alpha)
 
 
 def rhs_v(model, p):

@@ -61,14 +61,10 @@ def write_snapshot(path, state):
     g = state.grid
     model = state.model
     alpha = "" if model.alpha is None else f" alpha={_fmt(model.alpha)}"
-    lines = [
-        f"# t={_fmt(state.t)}",
-        f"# model={model.kind.value}{alpha}",
-        f"# N={g.N}  R={_fmt(g.R)}",
-    ]
-    for r, v, vt in zip(g.nodes, state.v, state.vt):
-        lines.append(f"{_fmt(r)} {_fmt(v)} {_fmt(vt)}")
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # row by row: no copy of the whole file in memory
+        fh.write(f"# t={_fmt(state.t)}\n# model={model.kind.value}{alpha}\n# N={g.N}  R={_fmt(g.R)}\n")
+        fh.writelines(f"{_fmt(r)} {_fmt(v)} {_fmt(vt)}\n"
+                      for r, v, vt in zip(g.nodes, state.v, state.vt))
     return path
 
 
@@ -229,7 +225,7 @@ def run_scenario(cfg, outdir=None):
         (outdir / "config.echo").write_text(cfg.echo())
     except OSError as e:
         raise IOError(f"cannot write run artifacts under {outdir}: {e}") from e
-    verdict = detect_blowup(trace, trace.final_state)
+    verdict = detect_blowup(trace, trace.final_state, cfg.growth_threshold)
     checks, drift = _evaluate_checks(cfg, trace, verdict)
     sup = trace.column("sup_abs_u")
     energy = trace.column("total_energy")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError
-from .grid import FieldSamples, Parity, RadialGrid, d_r, laplacian5, radial_integral
+from .errors import ConfigError, DomainError
+from .grid import RadialGrid, even_d_r, even_derivatives, laplacian5_from, radial_integral
 from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
 
 GROWTH_THRESHOLD = 100.0
@@ -85,27 +85,24 @@ class ScatteringDeficit:
     deficit: float
 
 
-def acceleration(state):
-    """v_tt samples: 5D Laplacian plus the model's -N term.  Pure; no boundary."""
-    f = FieldSamples(state.v, Parity.EVEN)
-    lap = laplacian5(f, state.grid).values
-    v_r = d_r(f, state.grid).values
-    return lap + _neg_nonlinearity(state.model, state.grid.nodes, state.v, v_r, state.vt)
-
-
 def _rhs(state, v, vt, boundary):
-    """(dv/dt, dvt/dt) with the boundary closure folded in."""
+    """(dv/dt, dvt/dt) with the boundary closure folded in.
+
+    The samples the stencils read must be finite (DomainError otherwise);
+    what the nonlinearity makes of them is not checked.
+    """
     g = state.grid
-    f = FieldSamples(v, Parity.EVEN)
-    lap = laplacian5(f, g).values
-    v_r = d_r(f, g).values
-    acc = lap + _neg_nonlinearity(state.model, g.nodes, v, v_r, vt)
+    if not np.all(np.isfinite(v)) or (boundary == "sommerfeld" and not np.all(np.isfinite(vt))):
+        raise DomainError("non-finite field samples")
+    v_r, v_rr = even_derivatives(v, g)
+    acc = laplacian5_from(v_r, v_rr, g)
+    acc += _neg_nonlinearity(state.model, g.nodes, v, v_r, vt)
     dv = vt.copy()
     if boundary == "pin":
         dv[-2:] = 0.0
         acc[-2:] = 0.0
     else:  # sommerfeld
-        vt_r = d_r(FieldSamples(vt, Parity.EVEN), g).values
+        vt_r = even_d_r(vt, g)
         acc[-2:] = -vt_r[-2:] - 2.0 * vt[-2:] / g.nodes[-2:]
     return dv, acc
 
@@ -118,12 +115,14 @@ def step_rk4(state, dt, boundary="pin"):
     if h > CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):
         raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={state.grid.dr}")
     v, vt = state.v, state.vt
-    k1v, k1a = _rhs(state, v, vt, boundary)
-    k2v, k2a = _rhs(state, v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a, boundary)
-    k3v, k3a = _rhs(state, v + 0.5 * dt * k2v, vt + 0.5 * dt * k2a, boundary)
-    k4v, k4a = _rhs(state, v + dt * k3v, vt + dt * k3a, boundary)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    vt_new = vt + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    kv, ka = _rhs(state, v, vt, boundary)
+    sum_v, sum_a = kv, ka  # k1 + 2 k2 + 2 k3 + k4, added up as the stages come
+    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+        kv, ka = _rhs(state, v + c * dt * kv, vt + c * dt * ka, boundary)
+        sum_v += weight * kv
+        sum_a += weight * ka
+    v_new = v + dt / 6.0 * sum_v
+    vt_new = vt + dt / 6.0 * sum_a
     blown = not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(vt_new)))
     return FieldState(state.t + dt, v_new, vt_new, state.grid, state.model, blown)
 
@@ -133,20 +132,27 @@ def sup_abs_u(state, window=None):
     return float(np.max(u if window is None else u[state.grid.nodes <= window]))
 
 
-def sup_abs_u_r(state, window=None):
-    v_r = d_r(FieldSamples(state.v, Parity.EVEN), state.grid).values
+def sup_abs_u_r(state, window=None, v_r=None):
+    """sup |u_r| = sup |v + r v_r|; v_r, if given, is the radial derivative of state.v."""
+    if v_r is None:
+        v_r = even_d_r(state.v, state.grid)
     u_r = np.abs(state.v + state.grid.nodes * v_r)
     return float(np.max(u_r if window is None else u_r[state.grid.nodes <= window]))
 
 
-def total_energy(state):
-    v_r = d_r(FieldSamples(state.v, Parity.EVEN), state.grid).values
+def total_energy(state, v_r=None):
+    """The model's conserved energy; v_r, if given, is the radial derivative of state.v."""
+    if v_r is None:
+        v_r = even_d_r(state.v, state.grid)
     dens = energy_density_v(state.model, state.grid.nodes, state.v, v_r, state.vt)
     return radial_integral(dens, state.grid, weight_power=0, warn_tail=False)
 
 
-def lightcone_energy(state, t0):
-    """Energy inside the backward cone r <= t0 - t, truncated to whole cells."""
+def lightcone_energy(state, t0, v_r=None):
+    """Energy inside the backward cone r <= t0 - t, truncated to whole cells.
+
+    v_r, if given, is the radial derivative of state.v.
+    """
     radius = t0 - state.t
     if radius <= 0:
         return 0.0
@@ -154,15 +160,16 @@ def lightcone_energy(state, t0):
     k = min(int(math.floor(radius / g.dr)), g.N)
     if k < 8:
         return 0.0
-    sub = RadialGrid(g.nodes[k], k, g.ghost_depth)
-    v_r = d_r(FieldSamples(state.v, Parity.EVEN), g).values
+    sub = RadialGrid(g.nodes[k], k)
+    if v_r is None:
+        v_r = even_d_r(state.v, state.grid)
     dens = energy_density_v(state.model, g.nodes, state.v, v_r, state.vt)
     return radial_integral(dens[:k + 1], sub, weight_power=0, warn_tail=False)
 
 
 def _deficit_norm(grid, dv, dvt):
     """sqrt( integral of (dv_r^2 + dvt^2 + dv^2) r^4 dr ): the discrete energy proxy."""
-    dv_r = d_r(FieldSamples(dv, Parity.EVEN), grid).values
+    dv_r = even_d_r(dv, grid)
     dens = dv_r * dv_r + dvt * dvt + dv * dv
     return math.sqrt(max(radial_integral(dens, grid, weight_power=4, warn_tail=False), 0.0))
 
@@ -194,8 +201,9 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
 
     def sample(state, twin):
         nonlocal initial_gradient
+        v_r = even_d_r(state.v, state.grid)
         sup_u = sup_abs_u(state, sup_window)
-        sup_ur = sup_abs_u_r(state, sup_window)
+        sup_ur = sup_abs_u_r(state, sup_window, v_r)
         if initial_gradient is None:
             initial_gradient = max(sup_ur, 1e-300)
         deficit = math.nan
@@ -203,10 +211,11 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
             deficit = _deficit_norm(state.grid, state.v - twin.v, state.vt - twin.vt)
         row = TraceRow(
             t=state.t,
-            total_energy=total_energy(state),
+            total_energy=total_energy(state, v_r),
             sup_abs_u=sup_u,
             sup_abs_u_r=sup_ur,
-            lightcone_energy=lightcone_energy(state, lightcone_t0) if lightcone_t0 else math.nan,
+            lightcone_energy=(lightcone_energy(state, lightcone_t0, v_r)
+                              if lightcone_t0 else math.nan),
             deficit=deficit,
             blowup_flag=0,
         )
@@ -238,8 +247,11 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     return trace
 
 
-def detect_blowup(trace, state=None):
+def detect_blowup(trace, state=None, growth_threshold=GROWTH_THRESHOLD):
     """Gradient-concentration verdict with collapse-time and profile diagnostics.
+
+    Growth of sup|u_r| by growth_threshold or more, or a trace already marked
+    blew_up, is a detection; pass the threshold the run was integrated with.
 
     t* comes from a straight-line fit of 1/sup|u_r| against t over the final
     decade of growth; the profile check rescales u(t_end, rho (t* - t_end))
@@ -252,7 +264,7 @@ def detect_blowup(trace, state=None):
     sup = np.array([row.sup_abs_u_r for row in rows])
     times = np.array([row.t for row in rows])
     growth = float(np.max(sup) / max(sup[0], 1e-300))
-    detected = trace.blew_up or growth >= GROWTH_THRESHOLD
+    detected = trace.blew_up or growth >= growth_threshold
     t_star = math.inf
     fit_error = math.nan
     if detected and np.max(sup) > 0:

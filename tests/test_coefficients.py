@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from skyrmelab.coefficients import (
     SERIES_SWITCH,
+    SINC,
     _closed_eval,
+    _coefficients,
     _series_eval,
     check_coeff_bounds,
     check_sin_inequality,
@@ -50,6 +52,27 @@ def test_frozen_oracle(cid, u):
     got = tilde_h(cid, u, alpha=1.0)
     want = ORACLE[u][cid - 1]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_one_pass_matches_frozen_oracle():
+    # all six coefficients and sin(u)/u from one pass over every oracle point
+    us = np.array(sorted(ORACLE))
+    rows = _coefficients((1, 2, 3, 4, 5, 6, SINC), us, alpha=1.0)
+    for cid in range(1, 7):
+        want = np.array([ORACLE[u][cid - 1] for u in us])
+        assert np.all(np.abs(rows[cid - 1] - want) <= 1e-12 * np.abs(want))
+    assert np.all(np.abs(rows[6] - np.sin(us) / us) <= 4e-16)
+
+
+def test_one_pass_is_independent_of_batch_size():
+    # each sample gets the same bits alone as in any batch, on both branches
+    # and on far-field samples whose u^2 underflows
+    us = np.concatenate([np.array(sorted(ORACLE)), [0.0, 1e-155, -3e-160, 1e-200, 0.0499]])
+    ids = (1, 2, 3, 4, 6, SINC)
+    rows = _coefficients(ids, us, alpha=1.3)
+    for k, u in enumerate(us):
+        assert np.array_equal(_coefficients(ids, u, alpha=1.3), rows[:, k])
+    assert np.array_equal(_coefficients(ids, us[:3], alpha=1.3), rows[:, :3])
 
 
 def test_alpha_square_scaling():

@@ -38,6 +38,46 @@ def test_d_r_polynomial_exactness():
     assert np.max(np.abs(got4.values - (4 * g.nodes**3 - 6 * g.nodes))) <= 1e-10
 
 
+def _ghost_stencil(values, sign, centered, edges):
+    """Reference: ghost-extended stencil summed term by term in stencil order."""
+    n = values.size
+    ext = np.concatenate([sign * values[2:0:-1], values])
+    out = np.zeros(n)
+    for k, w in enumerate(centered):
+        if w != 0.0:
+            out[:n - 2] += w * ext[k:k + n - 2]
+    for j, (weights, first) in zip((n - 2, n - 1), edges):
+        out[j] = 0.0
+        for w, x in zip(weights, values[j + first:]):
+            out[j] += w * x
+    return out
+
+
+D1_REF = ([1.0, -8.0, 0.0, 8.0, -1.0], [([-1.0, 6.0, -18.0, 10.0, 3.0], -3),
+                                        ([3.0, -16.0, 36.0, -48.0, 25.0], -4)])
+D2_REF = ([-1.0, 16.0, -30.0, 16.0, -1.0], [([1.0, -6.0, 14.0, -4.0, -15.0, 10.0], -4),
+                                           ([-10.0, 61.0, -156.0, 214.0, -154.0, 45.0], -5)])
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 1000])
+def test_stencils_sum_like_the_ghost_extended_reference(n):
+    g = RadialGrid(3.0, n)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n + 1)
+    h = g.dr
+    d1 = _ghost_stencil(f, 1.0, *D1_REF) / (12.0 * h)
+    d1[0] = 0.0
+    d2 = _ghost_stencil(f, 1.0, *D2_REF) / (12.0 * h**2)
+    assert np.array_equal(d_r(FieldSamples(f, Parity.EVEN), g).values, d1)
+    lap = d2.copy()
+    lap[1:] += 4.0 * d1[1:] / g.nodes[1:]
+    lap[0] *= 5.0
+    assert np.array_equal(laplacian5(FieldSamples(f, Parity.EVEN), g).values, lap)
+    f[0] = 0.0
+    odd = _ghost_stencil(f, -1.0, *D1_REF) / (12.0 * h)
+    assert np.array_equal(d_r(FieldSamples(f, Parity.ODD), g).values, odd)
+
+
 def test_d_r_constant_is_zero():
     g = RadialGrid(4.0, 32)
     got = d_r(even_field(g, lambda r: np.full_like(r, 2.5)), g)

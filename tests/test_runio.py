@@ -150,3 +150,24 @@ def test_file_family_rejects_grid_mismatch(tmp_path):
     from skyrmelab.config import initial_state
     with pytest.raises(ConfigError):
         initial_state(cfg2)
+
+
+def test_blowup_verdict_uses_the_run_threshold(tmp_path):
+    # the collapse grows sup|u_r| about 200x by T; under a threshold of 1000
+    # neither the run nor the reported verdict calls that a blow-up
+    text = """[run]
+name = collapse
+model = wave-map
+R = 4
+N = 2048
+T = 0.995
+sup_window = 3.0
+growth_threshold = 1000
+[data]
+family = turok-spergel
+snapshot_time = 1.0
+"""
+    rep = run_scenario(parse_config(text, name="collapse"), outdir=tmp_path / "collapse")
+    assert 100.0 < rep.blowup.growth_factor < 1000.0
+    assert not rep.blew_up
+    assert not rep.blowup.detected

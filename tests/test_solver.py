@@ -9,7 +9,9 @@ from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel_c
 from skyrmelab.grid import RadialGrid
 from skyrmelab.models import Kind, ModelSpec
 from skyrmelab.solver import (
+    DiagnosticsTrace,
     FieldState,
+    TraceRow,
     convergence_study,
     detect_blowup,
     integrate,
@@ -22,6 +24,7 @@ from skyrmelab.solver import (
 
 WAVE_MAP = ModelSpec(Kind.WAVE_MAP)
 SKYRME1 = ModelSpec(Kind.SKYRME, alpha=1.0)
+ADKINS_NAPPI = ModelSpec(Kind.ADKINS_NAPPI)
 FREE = ModelSpec(Kind.FREE_WAVE_5D)
 
 
@@ -115,6 +118,16 @@ def test_convergence_study_fourth_order():
     assert len(rep2.errors) == 2 and rep2.orders[0] > 3.5
 
 
+@pytest.mark.parametrize("model", [SKYRME1, ADKINS_NAPPI, WAVE_MAP], ids=lambda m: m.kind.value)
+def test_convergence_study_nonlinear_fourth_order(model):
+    # self-convergence of the nonlinear flows: the finest run is the reference
+    def data(grid):
+        return 0.3 * np.exp(-(grid.nodes**2)), np.zeros(grid.N + 1)
+
+    rep = convergence_study(data, model, [128, 256, 512, 1024], 10.0, 1.0)
+    assert 3.7 <= rep.observed_order <= 4.3
+
+
 def test_convergence_study_validates_resolutions():
     def data(grid):
         z = np.zeros(grid.N + 1)
@@ -183,6 +196,17 @@ def test_hard_stop_on_runaway_state():
     assert tr.blew_up
     assert tr.rows[-1].blowup_flag == 1
     assert tr.final_state.t < 1.0
+
+
+def test_blowup_verdict_uses_the_given_threshold():
+    rows = [TraceRow(t, 1.0, 0.1, g, math.nan, math.nan, 0)
+            for t, g in zip((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 5.0, 20.0, 80.0, 200.0))]
+    trace = DiagnosticsTrace(rows=rows)
+    quiet = detect_blowup(trace, growth_threshold=1000.0)
+    assert quiet.growth_factor == 200.0
+    assert not quiet.detected
+    assert quiet.t_star_estimate == math.inf
+    assert detect_blowup(trace).detected  # the default threshold is 100
 
 
 def test_deficit_column_tracks_free_twin():
