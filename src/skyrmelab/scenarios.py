@@ -79,10 +79,3 @@ def smallness_gate():
             raise ConfigError(f"{_GATE_FILE}: gate file lacks {key}=")
     return out
 
-
-def within_smallness_gate(cfg, margin=1.0):
-    """True when cfg's initial data measure at or below the recorded gate."""
-    gate = smallness_gate()
-    besov, _, l2 = data_size(cfg)
-    return besov <= margin * gate["besov_value"] + 1e-12 and \
-        l2 <= margin * gate["l2_value"] + 1e-12

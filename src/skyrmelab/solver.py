@@ -163,8 +163,10 @@ def lightcone_energy(state, t0, v_r=None):
     sub = RadialGrid(g.nodes[k], k)
     if v_r is None:
         v_r = even_d_r(state.v, state.grid)
-    dens = energy_density_v(state.model, g.nodes, state.v, v_r, state.vt)
-    return radial_integral(dens[:k + 1], sub, weight_power=0, warn_tail=False)
+    cone = slice(k + 1)
+    dens = energy_density_v(state.model, g.nodes[cone], state.v[cone], v_r[cone],
+                            state.vt[cone])
+    return radial_integral(dens, sub, weight_power=0, warn_tail=False)
 
 
 def _deficit_norm(grid, dv, dvt):

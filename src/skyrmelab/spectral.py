@@ -20,6 +20,13 @@ on Gauss panels, with a Gauss-Jacobi rule absorbing the fractional power on
 (1/2,2) built from a polynomial smoothstep, so the shifted cutoffs telescope
 to an exact partition of unity; the ell^2 frequency-side Besov route therefore
 reproduces the Sobolev norm up to the reported band-truncation term.
+
+The dim-5 kernel takes the closed form on every entry and runs its series
+only where |x| < 0.5, the entries whose cancellation it avoids.  Each profile
+keeps |fhat|^2 per quadrature node set, so the dyadic panels that
+sobolev_norm, the Besov shells and the truncation moment share, within one
+call or across calls, are transformed once; that memo is why a profile holds
+a read-only copy of its samples.
 """
 import functools
 import math
@@ -45,9 +52,13 @@ class RadialProfile:
     grid: RadialGrid
     dim: int
     decay_certified: bool = field(init=False)
+    _power: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        # a private read-only copy: decay_certified and the |fhat|^2 memo
+        # describe these samples and must not go stale under the caller
+        self.values = np.array(self.values, dtype=float)
+        self.values.flags.writeable = False
         if self.dim not in SPHERE_AREA:
             raise DomainError(f"dim must be one of {sorted(SPHERE_AREA)}, got {self.dim}")
         if self.values.shape != self.grid.nodes.shape:
@@ -71,19 +82,24 @@ def _kernel(dim, x):
     """The transform kernel divided by rho^(n-2)/r^(n-2): smooth and even in x."""
     if dim == 3:
         return np.sinc(x / math.pi)
-    # (sin x / x - cos x) / x^2, series below x=0.5 to dodge the cancellation
+    # (sin x / x - cos x) / x^2, then the series below x=0.5 to dodge the
+    # cancellation; every step is elementwise, so no entry depends on the rest
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 0.5
-    xs = np.where(small, 0.0, x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (np.sin(xs) / xs - np.cos(xs)) / xs**2
-    x2 = x * x
-    series = np.zeros_like(x)
-    term = np.ones_like(x)
+        out = np.sin(x)
+        out /= x
+        out -= np.cos(x)
+        out /= x**2
+    small = np.abs(x) < 0.5
+    xs = x[small]
+    x2 = xs * xs
+    series = np.zeros_like(x2)
+    term = np.ones_like(x2)
     for k in range(1, 12):
         series = series + (2.0 * k / math.factorial(2 * k + 1)) * term
         term = term * (-x2)
-    return np.where(small, series, direct)
+    out[small] = series
+    return out
 
 
 def _kernel_matvec(dim, rho, r, vec):
@@ -204,7 +220,13 @@ def _spectral_moment(p, s, weight=None, lo=0.0, hi=None):
         hi = math.pi / p.grid.dr
 
     def mass(rho):
-        y = np.abs(_fhat_at(p, rho)) ** 2
+        # |fhat|^2 once per profile and node set: panels that sobolev_norm,
+        # the Besov shells and the truncation moment share are bit-identical
+        key = rho.tobytes()
+        y = p._power.get(key)
+        if y is None:
+            y = p._power[key] = np.abs(_fhat_at(p, rho)) ** 2
+            y.flags.writeable = False
         return y if weight is None else y * weight(rho)
 
     total = 0.0
@@ -482,29 +504,3 @@ def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp, grid=None,
     return DyadicSobolevReport(n=n, alpha=alpha, p_exp=p_exp, q_exp=q_exp,
                                lambdas=tuple(lambdas), constants=tuple(constants))
 
-
-def weighted_besov_norm(p, s, p_exp, q_exp, weight_power, cutoff=None, band=None):
-    """Besov recipe with an r^w weight applied before the shell L^p quadrature.
-
-    Experimental: the weighted shell norm has no independent oracle here, so
-    this is exposed for exploration only and is not used by any invariant.
-    """
-    cutoff = cutoff or DyadicCutoff()
-    band = tuple(band) if band is not None else dyadic_band(p.grid)
-    sp = radial_fourier(p)
-    # negative weight powers blow up at the axis node; the r^{n-1} quadrature
-    # weight vanishes there, so the axis contribution is zero whenever the
-    # weighted integrand is integrable at all
-    w = np.empty_like(p.grid.nodes)
-    w[1:] = p.grid.nodes[1:] ** weight_power
-    w[0] = 1.0 if weight_power == 0 else 0.0
-    pieces = []
-    for lam in band:
-        piece = dyadic_piece(p, lam, cutoff, spectrum=sp)
-        weighted = RadialProfile(w * piece.values, p.grid, p.dim)
-        pieces.append(lam**s * lp_norm(weighted, p_exp))
-    b = np.array(pieces)
-    value = float(np.max(b)) if q_exp == math.inf else float(np.sum(b**q_exp) ** (1.0 / q_exp))
-    trunc = math.sqrt(SPHERE_AREA[p.dim] * max(_spectral_moment(
-        p, s, weight=_band_complement_weight(cutoff, band)), 0.0))
-    return BesovResult(value=value, truncation_bound=trunc, band=band, pieces=tuple(pieces))

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import gamma
 
 from .config import parse_config
 from .coefficients import check_coeff_bounds, check_sin_inequality, tilde_h
@@ -26,11 +27,6 @@ from .spectral import (SPHERE_AREA, DyadicCutoff, RadialProfile, SpectralProfile
                        besov_norm, dyadic_band, dyadic_piece, inverse_radial_fourier,
                        radial_dyadic_sobolev_check, radial_fourier, scale,
                        sobolev_norm)
-
-try:
-    from scipy.special import gamma as _gamma
-except ImportError:  # pragma: no cover
-    _gamma = math.gamma
 
 
 def _report(name, checks, started):
@@ -230,7 +226,7 @@ def spectral_oracles():
     for n in (3, 5):
         p = RadialProfile(gauss, g, dim=n)
         for s in (0.0, 1.0, 1.5, 2.0, 2.5):
-            exact = SPHERE_AREA[n] * _gamma(s + n / 2.0) / 2.0
+            exact = SPHERE_AREA[n] * gamma(s + n / 2.0) / 2.0
             got = sobolev_norm(p, s) ** 2
             worst = max(worst, abs(got - exact) / exact)
     checks.append(CheckResult("gaussian_norm_oracle", worst <= 1e-4, worst, "<= 1e-4 rel"))

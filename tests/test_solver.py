@@ -6,8 +6,8 @@ import pytest
 
 from skyrmelab.errors import ConfigError
 from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
-from skyrmelab.grid import RadialGrid
-from skyrmelab.models import Kind, ModelSpec
+from skyrmelab.grid import RadialGrid, even_d_r, radial_integral
+from skyrmelab.models import ALPHA_KINDS, Kind, ModelSpec, energy_density_v
 from skyrmelab.solver import (
     DiagnosticsTrace,
     FieldState,
@@ -165,6 +165,26 @@ def test_lightcone_energy_monotone_along_collapse():
     assert np.all(np.diff(cone) < 0)
     assert lightcone_energy(st, -1.0) == 0.0  # empty cone
 
+
+
+@pytest.mark.parametrize("N", [256, 16384])
+@pytest.mark.parametrize("amplitude", [0.3, 3.0])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_lightcone_energy_equals_full_grid_density_sliced(kind, amplitude, N):
+    # the cone density is evaluated on the cone's nodes only; it must carry
+    # the bits of the density over the whole grid, cut to the cone
+    g = RadialGrid(10.0, N)
+    model = ModelSpec(kind, alpha=1.1 if kind in ALPHA_KINDS else None)
+    r = g.nodes
+    st = FieldState(0.0, amplitude * np.exp(-(r**2)), -amplitude * r * np.exp(-(r**2)), g,
+                    model)
+    k = int(math.floor(5.0 / g.dr))
+    v_r = even_d_r(st.v, g)
+    dens = energy_density_v(model, g.nodes, st.v, v_r, st.vt)
+    full = radial_integral(dens[:k + 1], RadialGrid(g.nodes[k], k), weight_power=0,
+                           warn_tail=False)
+    assert lightcone_energy(st, 5.0) == full
+    assert lightcone_energy(st, 5.0, v_r) == full
 
 def test_blowup_detector_on_wave_map_collapse():
     g = RadialGrid(4.0, 2048)

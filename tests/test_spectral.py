@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+from skyrmelab import spectral
 from skyrmelab.errors import ConfigError, ContractError, DomainError
 from skyrmelab.grid import RadialGrid, radial_integral
 from skyrmelab.spectral import (SPHERE_AREA, DyadicCutoff, RadialProfile,
@@ -20,7 +21,7 @@ from skyrmelab.spectral import (SPHERE_AREA, DyadicCutoff, RadialProfile,
                                 dyadic_piece, inverse_radial_fourier,
                                 norm_equivalence_band, norm_equivalence_check,
                                 radial_dyadic_sobolev_check, radial_fourier,
-                                scale, sobolev_norm, weighted_besov_norm)
+                                scale, sobolev_norm)
 
 G16 = RadialGrid(16.0, 1024)
 GAUSS16 = np.exp(-G16.nodes**2 / 2.0)
@@ -73,6 +74,68 @@ def test_undecayed_profile_warns():
     with pytest.warns(RuntimeWarning):
         radial_fourier(p)
 
+
+
+def _kernel5_reference(x):
+    # the dim-5 kernel as first written: closed form and series on every entry
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 0.5
+    xs = np.where(small, 0.0, x)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (np.sin(xs) / xs - np.cos(xs)) / xs**2
+    x2 = x * x
+    series = np.zeros_like(x)
+    term = np.ones_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge x overflow the series
+        for k in range(1, 12):
+            series = series + (2.0 * k / math.factorial(2 * k + 1)) * term
+            term = term * (-x2)
+    return np.where(small, series, direct)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.0, 1e-300, -1e-300, 5e-324, 1e-8, 0.1, -0.3, np.nextafter(0.5, 0.0), 0.5,
+              -0.5, np.nextafter(0.5, 1.0), 0.7, -1.0, 2.5, 10.0, 1e3, 1e8, 1e150, -1e150]),
+    np.outer([0.0, 1e-300, -1e-300, 0.3, 1.7, 40.0, 1e4], np.linspace(0.0, 3.0, 61)),
+], ids=["1d", "outer"])
+def test_dim5_kernel_bits_match_reference(x):
+    got = spectral._kernel(5, x)
+    assert got.shape == x.shape
+    assert got.tobytes() == _kernel5_reference(x).tobytes()
+
+
+def test_norms_evaluate_each_node_set_once(monkeypatch):
+    sizes = []
+    fhat_at = spectral._fhat_at
+    monkeypatch.setattr(spectral, "_fhat_at",
+                        lambda p, rho: sizes.append(len(rho)) or fhat_at(p, rho))
+    p = gauss_profile(5)
+    first = sobolev_norm(p, 1.5)
+    built = len(sizes)
+    assert built > 0
+    assert sobolev_norm(p, 1.5) == first
+    assert len(sizes) == built  # the second call builds no kernel
+    warm = besov_norm(p, 1.5, 2, 1)
+    warm_builds = len(sizes) - built
+    assert all(not y.flags.writeable for y in p._power.values())
+
+    del sizes[:]
+    assert sobolev_norm(gauss_profile(5), 1.5) == first
+    cold = besov_norm(gauss_profile(5), 1.5, 2, 1)
+    assert warm_builds < len(sizes) - built  # shells reuse the Sobolev panels
+    assert (warm.value, warm.truncation_bound, warm.pieces) == \
+        (cold.value, cold.truncation_bound, cold.pieces)
+
+
+def test_profile_keeps_a_read_only_copy():
+    v = np.exp(-(G16.nodes**2))
+    p = RadialProfile(v, G16, dim=5)
+    assert not p.values.flags.writeable
+    with pytest.raises(ValueError):
+        p.values[0] = 2.0
+    assert v.flags.writeable
+    v[0] = 2.0
+    assert p.values[0] == 1.0
 
 # --------------------------------------------------------------- norm oracles
 
@@ -217,12 +280,6 @@ def test_truncation_reported_for_rough_data():
         res = besov_norm(p, 1.5, 2, 1)
     assert res.truncation_bound > 0.0
     assert res.value > 0.0
-
-
-def test_weighted_besov_smoke():
-    p = gauss_profile(5)
-    value = float(weighted_besov_norm(p, 1.0, 4, 2, weight_power=-0.5))
-    assert math.isfinite(value) and value > 0.0
 
 
 # ------------------------------------------------------------------- scaling
