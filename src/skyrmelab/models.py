@@ -57,18 +57,6 @@ class ModelSpec:
                 raise DomainError(f"{self.kind.value} needs alpha > 0, got {self.alpha}")
 
 
-@dataclass
-class PointData:
-    r: float
-    v: float
-    v_r: float
-    v_t: float
-
-    @property
-    def u(self):
-        return self.r * self.v
-
-
 def _neg_nonlinearity(model, r, v, v_r, v_t):
     """-N(r, v, v_r, v_t), vectorized; NaN propagates (the solver's blow-up flag).
 
@@ -96,12 +84,6 @@ def _neg_nonlinearity(model, r, v, v_r, v_t):
            + c3 * v3 * v_r
            + c4 * v * (v_t * v_t - v_r * v_r))
     return -num / _skyrme_denominator(v, sinc_u, alpha)
-
-
-def rhs_v(model, p):
-    """Nonlinear part of v_tt at one point: returns -N (the solver adds the Laplacian)."""
-    out = _neg_nonlinearity(model, p.r, p.v, p.v_r, p.v_t)
-    return float(out)
 
 
 def rhs_u(model, r, u, u_r, u_t, u_rr):

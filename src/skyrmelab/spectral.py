@@ -21,12 +21,21 @@ on Gauss panels, with a Gauss-Jacobi rule absorbing the fractional power on
 to an exact partition of unity; the ell^2 frequency-side Besov route therefore
 reproduces the Sobolev norm up to the reported band-truncation term.
 
-The dim-5 kernel takes the closed form on every entry and runs its series
-only where |x| < 0.5, the entries whose cancellation it avoids.  Each profile
-keeps |fhat|^2 per quadrature node set, so the dyadic panels that
-sobolev_norm, the Besov shells and the truncation moment share, within one
-call or across calls, are transformed once; that memo is why a profile holds
-a read-only copy of its samples.
+On the uniform grids every kernel argument is x = pi i c / N, with i and c
+in 0..N.  Both transforms split that matrix at c0 = ceil(sqrt(2N/pi)): the
+rows and the columns up to c0, about 2 c0 N entries, are evaluated directly
+and cached per grid; on the rest x > 2, and the closed form is a sine sum
+(plus a cosine sum in dim 5), one DST-I (and one DCT-I) by FFT of length 2N.
+A transform thus evaluates about 2 c0 N kernel entries instead of N^2.  The
+dim-5 kernel takes the closed form on every entry it evaluates and runs its
+series only where |x| < 0.5, the entries whose cancellation it avoids.
+Off-lattice arguments (Gauss panels, the resampling in scale) use the direct
+kernel.
+
+Each profile keeps |fhat|^2 per quadrature node set, so the dyadic panels
+that sobolev_norm, the Besov shells and the truncation moment share, within
+one call or across calls, are transformed once; that memo is why a profile
+holds a read-only copy of its samples.
 """
 import functools
 import math
@@ -133,39 +142,100 @@ def _forward_vector(p):
     return _trapezoid_weights(g.N + 1) * g.nodes ** (p.dim - 1) * p.values * g.dr
 
 
+def _inverse_vector(sp):
+    """Trapezoid weights on (0, rho_max]: the rho=0 node contributes nothing (rho^(n-1))."""
+    rho = sp.rho_nodes
+    w = np.ones(len(rho))
+    w[-1] = 0.5
+    return w * rho ** (sp.dim - 1) * sp.fhat * float(rho[0])
+
+
 def _fhat_at(p, rho):
     """Transform values at arbitrary frequencies (not tied to the uniform grid)."""
     return _SQRT_2_PI * _kernel_matvec(p.dim, np.asarray(rho, float), p.grid.nodes,
                                        _forward_vector(p))
 
 
-def radial_fourier(p, rho_max=None, oversample=1):
-    """Transform onto the uniform frequency grid (0, pi/dr], spacing pi/(oversample R)."""
+def _dst1(w):
+    """sum_{c=1}^{N-1} w[c] sin(pi k c / N) for k = 0..N, from the odd extension."""
+    n = len(w) - 1
+    odd = np.concatenate(([0.0], w[1:n], [0.0], -w[n - 1:0:-1]))
+    return -0.5 * np.fft.rfft(odd).imag
+
+
+def _dct1(w):
+    """sum_{c=0}^{N} w[c] cos(pi k c / N) for k = 0..N, from the even extension."""
+    n = len(w) - 1
+    even = np.concatenate((w, w[n - 1:0:-1]))
+    sign = np.ones(n + 1)
+    sign[1::2] = -1.0
+    return 0.5 * (np.fft.rfft(even).real + w[0] + sign * w[n])
+
+
+def _lattice_matvec(dim, rows, cols, vec):
+    """K @ vec with K[i,c] = kernel(rows[i] * cols[c]) on the lattice x = pi i c / N.
+
+    rows and cols are the N + 1 frequencies k pi / R and the N + 1 nodes j R / N,
+    either way round.  Rows i <= c0 = ceil(sqrt(2N/pi)), and columns c <= c0 of
+    the other rows, go through the cached direct kernel.  Everywhere else
+    x > pi (c0 + 1)^2 / N > 2, so the closed form has no cancellation to dodge
+    and its sums over c are one DST-I (and in dim 5 one DCT-I), scaled by
+    powers of N / (pi i) afterwards.
+    """
+    n = len(vec) - 1
+    c0 = math.ceil(math.sqrt(2.0 * n / math.pi))  # < n, as RadialGrid has N >= 8
+    out = np.empty(n + 1)
+    out[:c0 + 1] = _kernel_matvec(dim, rows[:c0 + 1], cols, vec)
+    out[c0 + 1:] = _kernel_matvec(dim, rows[c0 + 1:], cols[:c0 + 1], vec[:c0 + 1])
+    k = np.arange(c0 + 1, n + 1, dtype=float)  # the far rows i, and the far columns c
+    t = n / (math.pi * k)  # x = c / t[i]
+    far = np.zeros(n + 1)
+    far[c0 + 1:] = vec[c0 + 1:] / k
+    if dim == 3:
+        # sin x / x
+        out[c0 + 1:] += t * _dst1(far)[c0 + 1:]
+        return out
+    # sin x / x^3 - cos x / x^2
+    far[c0 + 1:] /= k
+    cos_sum = _dct1(far)[c0 + 1:]
+    far[c0 + 1:] /= k
+    out[c0 + 1:] += t**3 * _dst1(far)[c0 + 1:] - t**2 * cos_sum
+    return out
+
+
+def _frequency_lattice(g):
+    """The N + 1 frequencies k pi / R, k = 0..N: spacing pi/R up to Nyquist pi/dr."""
+    return (math.pi / g.R) * np.arange(g.N + 1)
+
+
+def radial_fourier(p, rho_max=None):
+    """Transform onto the uniform frequency grid (0, rho_max], spacing pi/R."""
     g = p.grid
     nyquist = math.pi / g.dr
     if rho_max is None:
         rho_max = nyquist
     elif rho_max > nyquist * (1 + 1e-12):
         raise ConfigError(f"rho_max={rho_max} exceeds the grid Nyquist limit {nyquist}")
-    if oversample < 1:
-        raise ConfigError("oversample must be >= 1")
     if not p.decay_certified:
         warnings.warn("profile tail is not negligible; transform accuracy degrades",
                       RuntimeWarning, stacklevel=2)
-    drho = math.pi / (oversample * g.R)
-    m = int(round(rho_max / drho))
-    rho = drho * np.arange(1, m + 1)
-    return SpectralProfile(p.dim, rho, _fhat_at(p, rho), g)
+    lattice = _frequency_lattice(g)
+    m = max(int(round(rho_max / lattice[1])), 0)
+    fhat = _lattice_matvec(p.dim, lattice, g.nodes, _forward_vector(p))[1:m + 1]
+    return SpectralProfile(p.dim, lattice[1:m + 1], _SQRT_2_PI * fhat, g)
 
 
 def inverse_radial_fourier(sp):
-    """Back to the source grid; the rho=0 node contributes nothing (rho^(n-1) factor)."""
-    rho = sp.rho_nodes
-    drho = float(rho[0])
-    w = np.ones(len(rho))
-    w[-1] = 0.5
-    vec = w * rho ** (sp.dim - 1) * sp.fhat * drho
-    return RadialProfile(_SQRT_2_PI * _kernel_matvec(sp.dim, sp.grid.nodes, rho, vec),
+    """Back to the source grid; sp.rho_nodes must be radial_fourier's frequencies for it."""
+    g = sp.grid
+    lattice = _frequency_lattice(g)
+    rho = np.asarray(sp.rho_nodes, dtype=float)
+    m = rho.size
+    if not (rho.ndim == 1 and 1 <= m <= g.N and np.array_equal(rho, lattice[1:m + 1])):
+        raise ContractError("rho_nodes must be radial_fourier's frequencies for this grid")
+    vec = np.zeros(g.N + 1)
+    vec[1:m + 1] = _inverse_vector(sp)
+    return RadialProfile(_SQRT_2_PI * _lattice_matvec(sp.dim, g.nodes, lattice, vec),
                          sp.grid, sp.dim)
 
 
@@ -378,14 +448,11 @@ def scale(p, lam, a):
         warnings.warn("contraction pushes unresolved tail mass off the grid",
                       RuntimeWarning, stacklevel=2)
     sp = radial_fourier(p)
-    rho = sp.rho_nodes
-    w = np.ones(len(rho))
-    w[-1] = 0.5
-    vec = w * rho ** (p.dim - 1) * sp.fhat * float(rho[0])
     arg = g.nodes / lam
     inside = arg <= g.R
     out = np.zeros_like(arg)
-    out[inside] = _SQRT_2_PI * _kernel_matvec(p.dim, arg[inside], rho, vec)
+    out[inside] = _SQRT_2_PI * _kernel_matvec(p.dim, arg[inside], sp.rho_nodes,
+                                              _inverse_vector(sp))
     result = RadialProfile(lam**a * out, g, p.dim)
     if lam > 1 and not result.decay_certified:
         warnings.warn("dilated support does not fit the grid", RuntimeWarning,

@@ -2,9 +2,15 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skyrmelab.cli import main
+from skyrmelab.grid import RadialGrid
+from skyrmelab.models import Kind, ModelSpec
+from skyrmelab.runio import read_snapshot, write_snapshot
+from skyrmelab.solver import FieldState
+from skyrmelab.spectral import RadialProfile, besov_norm
 
 TINY = """[run]
 model = wave-map
@@ -145,6 +151,19 @@ def test_norms_csv_schema(outroot, tmp_path, capsys):
     assert row[0] == "final" and row[1] == "5" and row[4] == "inf"
     assert float(row[5]) > 0 and float(row[6]) >= 0
     assert (tmp_path / "norms.csv").read_text().splitlines()[0] == out[0]
+
+
+def test_norms_p4_prints_besov_norm_exactly(tmp_path, capsys):
+    # p != 2 goes through the uniform-grid transforms: N = 4096 must stay quick
+    g = RadialGrid(20.0, 4096)
+    v = 1.3 * np.exp(-g.nodes**2 / 2.0)
+    snap = write_snapshot(tmp_path / "fine.snap",
+                          FieldState(0.0, v, np.zeros_like(v), g, ModelSpec(Kind.WAVE_MAP)))
+    rc = main(["norms", str(snap), "--s", "1.5", "--p", "4", "--q", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    want = besov_norm(RadialProfile(read_snapshot(snap).v, g, 5), 1.5, 4, 2)
+    assert out[1] == f"fine,5,1.5,4,2,{want.value:.17g},{want.truncation_bound:.17g}"
 
 
 def test_norms_rejects_bad_exponents(outroot, tmp_path, capsys):

@@ -10,12 +10,10 @@ from skyrmelab.exact import turok_spergel
 from skyrmelab.models import (
     Kind,
     ModelSpec,
-    PointData,
     energy_density,
     energy_density_v,
     null_form,
     rhs_u,
-    rhs_v,
     _neg_nonlinearity,
 )
 
@@ -54,20 +52,20 @@ def test_u_form_equals_v_form(kind):
         v, v_r, v_rr, v_t = f.v(t, r), f.v_r(t, r), f.v_rr(t, r), f.v_t(t, r)
         u, u_r, u_t = r * v, v + r * v_r, r * v_t
         u_rr = 2.0 * v_r + r * v_rr
-        v_tt = v_rr + 4.0 * v_r / r + rhs_v(model, PointData(r, v, v_r, v_t))
+        v_tt = v_rr + 4.0 * v_r / r + float(_neg_nonlinearity(model, r, v, v_r, v_t))
         u_tt = rhs_u(model, r, u, u_r, u_t, u_rr)
         assert u_tt == pytest.approx(r * v_tt, rel=1e-10, abs=1e-12)
 
 
 def test_rhs_v_trivial_zeros():
-    assert rhs_v(spec_for(Kind.ADKINS_NAPPI), PointData(2.0, 0.0, 0.3, -0.2)) == 0.0
-    assert rhs_v(spec_for(Kind.FREE_WAVE_5D), PointData(1.0, 1.0, 1.0, 1.0)) == 0.0
+    assert _neg_nonlinearity(spec_for(Kind.ADKINS_NAPPI), 2.0, 0.0, 0.3, -0.2) == 0.0
+    assert _neg_nonlinearity(spec_for(Kind.FREE_WAVE_5D), 1.0, 1.0, 1.0, 1.0) == 0.0
 
 
 def test_rhs_v_quintic_truncation_value():
     # the small-u repulsive equation keeps only the quintic term in v-form
-    p = PointData(1.0, 1.0, 0.0, 0.0)
-    assert rhs_v(spec_for(Kind.ADKINS_NAPPI_APPROX), p) == pytest.approx(-1.0, rel=1e-14)
+    got = _neg_nonlinearity(spec_for(Kind.ADKINS_NAPPI_APPROX), 1.0, 1.0, 0.0, 0.0)
+    assert got == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_skyrme_reduces_to_wave_map():
@@ -79,7 +77,7 @@ def test_skyrme_reduces_to_wave_map():
         from skyrmelab.coefficients import _tilde_h_raw
 
         wm = -_tilde_h_raw(1, u) * v**3
-        assert rhs_v(spec_for(Kind.WAVE_MAP), PointData(r, v, v_r, v_t)) == pytest.approx(wm, rel=1e-14)
+        assert _neg_nonlinearity(spec_for(Kind.WAVE_MAP), r, v, v_r, v_t) == pytest.approx(wm, rel=1e-14)
         # Skyrme u-form with alpha terms zeroed equals wave-map u-form
         u_r, u_t, u_rr = v + r * v_r, r * v_t, 0.7
         got_wm = rhs_u(spec_for(Kind.WAVE_MAP), r, u, u_r, u_t, u_rr)

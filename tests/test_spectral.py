@@ -64,8 +64,24 @@ def test_transform_validation():
     p = gauss_profile(5)
     with pytest.raises(ConfigError):
         radial_fourier(p, rho_max=10.0 * math.pi / G16.dr)
-    with pytest.raises(ConfigError):
-        radial_fourier(p, oversample=0)
+
+
+def test_inverse_needs_the_forward_frequencies():
+    sp = radial_fourier(gauss_profile(5))
+    other = RadialGrid(12.0, 1024)
+    bad = [sp.rho_nodes * (1.0 + 1e-15),             # off the lattice by a few ulp
+           0.5 * sp.rho_nodes,                        # spacing pi / (2R)
+           np.linspace(sp.rho_nodes[0], 1.0, 40),     # arbitrary frequencies
+           radial_fourier(gauss_profile(5, other)).rho_nodes,
+           sp.rho_nodes[1:],                          # lattice without its first node
+           sp.rho_nodes[:0],
+           sp.rho_nodes[0]]
+    for rho in bad:
+        with pytest.raises(ContractError):
+            inverse_radial_fourier(SpectralProfile(5, rho, np.ones_like(rho), G16))
+    short = radial_fourier(gauss_profile(5), rho_max=0.5 * math.pi / G16.dr)
+    assert np.array_equal(short.rho_nodes, sp.rho_nodes[:len(short.rho_nodes)])
+    inverse_radial_fourier(short)
 
 
 def test_undecayed_profile_warns():
@@ -136,6 +152,95 @@ def test_profile_keeps_a_read_only_copy():
     assert v.flags.writeable
     v[0] = 2.0
     assert p.values[0] == 1.0
+
+def _transform_profiles(r, dr):
+    # Gaussians of width 1 and 0.3, an axis spike 3 dr wide, a ring, a chirp
+    return [np.exp(-r * r / 2.0), np.exp(-r * r / (2.0 * 0.3**2)), np.exp(-(r / (3.0 * dr)) ** 2),
+            np.exp(-((r - 8.0) ** 2)), np.exp(-r * r / 2.0) * np.cos(6.0 * r)]
+
+
+def _direct_transforms(dim, rho, nodes, fwd, inv, rows=512):
+    """K @ fwd and K.T @ inv for K[k, j] = kernel(rho_k * r_j), built row block by row block.
+
+    These are the sums _kernel_matvec forms entry by entry; the transpose serves
+    the inverse because rho_k * r_j and r_j * rho_k are the same float.
+    """
+    out_f = np.empty((len(rho), fwd.shape[1]))
+    out_i = np.zeros((len(nodes), inv.shape[1]))
+    for k0 in range(0, len(rho), rows):
+        block = spectral._kernel(dim, np.outer(rho[k0:k0 + rows], nodes))
+        # one vector at a time: a matrix product sums in another order and
+        # loses up to 1e-14 relative on these profiles
+        for col in range(fwd.shape[1]):
+            out_f[k0:k0 + rows, col] = block @ fwd[:, col]
+        for col in range(inv.shape[1]):
+            out_i[:, col] += inv[k0:k0 + rows, col] @ block
+    return out_f, out_i
+
+
+@pytest.mark.parametrize("N", [8, 64, 512, 999, 4096])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_transforms_match_the_direct_kernel(dim, N):
+    g = RadialGrid(20.0, N)
+    rho = math.pi / g.R * np.arange(1, N + 1)
+    profiles = [RadialProfile(v, g, dim) for v in _transform_profiles(g.nodes, g.dr)]
+    cut = 0.6 * math.pi / g.dr  # rho_max below Nyquist
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the spike is wide at N = 8
+        spectra = [radial_fourier(p) for p in profiles] + \
+                  [radial_fourier(p, rho_max=cut) for p in profiles]
+    inv = np.zeros((N, len(spectra)))
+    for col, sp in enumerate(spectra):
+        inv[:len(sp.rho_nodes), col] = spectral._inverse_vector(sp)
+    fwd = np.stack([spectral._forward_vector(p) for p in profiles], axis=1)
+    want_f, want_i = _direct_transforms(dim, rho, g.nodes, fwd, inv)
+    want_f *= spectral._SQRT_2_PI
+    want_i *= spectral._SQRT_2_PI
+    for col, sp in enumerate(spectra):
+        m = len(sp.rho_nodes)
+        assert m == (N if col < len(profiles) else int(round(0.6 * N)))
+        ref = want_f[:m, col % len(profiles)]
+        peak = np.max(np.abs(ref))
+        assert np.array_equal(sp.rho_nodes, rho[:m])
+        assert np.max(np.abs(sp.fhat - ref)) <= 1e-14 * peak
+        # the inverse rounds on the scale of its input or of its output,
+        # whichever is larger: the spike's spectrum is far below its peak
+        back = inverse_radial_fourier(sp).values
+        peak = max(np.max(np.abs(sp.fhat)), np.max(np.abs(want_i[:, col])))
+        assert np.max(np.abs(back - want_i[:, col])) <= 1e-14 * peak
+
+
+def test_transform_builds_only_the_near_field(monkeypatch):
+    N = 4096
+    g = RadialGrid(20.0, N)
+    p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
+    entries = []
+    kernel = spectral._kernel
+    monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(spectral, "_kernel",
+                        lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
+    radial_fourier(p)
+    c0 = math.ceil(math.sqrt(2.0 * N / math.pi))
+    assert 0 < sum(entries) <= 2 * (c0 + 1) * (N + 1)  # the full matrix has N (N + 1)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_fine_grid_transform_matches_gaussian_oracle(dim):
+    g = RadialGrid(20.0, 16384)
+    sp = radial_fourier(RadialProfile(np.exp(-g.nodes**2 / 2.0), g, dim))
+    assert len(sp.rho_nodes) == g.N
+    assert np.max(np.abs(sp.fhat - np.exp(-sp.rho_nodes**2 / 2.0))) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [8, 9, 64])
+def test_sine_and_cosine_sums_match_their_definition(N):
+    w = np.random.default_rng(N).standard_normal(N + 1)
+    angle = math.pi * np.outer(np.arange(N + 1), np.arange(N + 1)) / N
+    dst = np.sin(angle[:, 1:N]) @ w[1:N]
+    dct = np.cos(angle) @ w
+    assert np.max(np.abs(spectral._dst1(w) - dst)) <= 1e-13
+    assert np.max(np.abs(spectral._dct1(w) - dct)) <= 1e-13
+
 
 # --------------------------------------------------------------- norm oracles
 
