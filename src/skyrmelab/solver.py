@@ -45,7 +45,7 @@ class FieldState:
         return FieldState(self.t, self.v.copy(), self.vt.copy(), self.grid, self.model, self.blown_up)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     t: float
     total_energy: float

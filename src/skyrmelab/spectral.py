@@ -29,8 +29,12 @@ and cached per grid; on the rest x > 2, and the closed form is a sine sum
 A transform thus evaluates about 2 c0 N kernel entries instead of N^2.  The
 dim-5 kernel takes the closed form on every entry it evaluates and runs its
 series only where |x| < 0.5, the entries whose cancellation it avoids.
-Off-lattice arguments (Gauss panels, the resampling in scale) use the direct
-kernel.
+Off-lattice arguments (Gauss panels, the resampling in scale) still meet
+uniformly spaced columns, the nodes or the frequency lattice.  Each row
+evaluates the kernel directly where x < 2; past that the closed form is a sum
+of weighted exponentials exp(i rho c), and splitting c into blocks of about
+sqrt(n) columns factors it into one matrix product and a contraction, with
+about 2 sqrt(n) complex exponentials per row in place of n kernel entries.
 
 Each profile keeps |fhat|^2 per quadrature node set, so the dyadic panels
 that sobolev_norm, the Besov shells and the truncation moment share, within
@@ -112,7 +116,12 @@ def _kernel(dim, x):
 
 
 def _kernel_matvec(dim, rho, r, vec):
-    """K @ vec with K[j,i] = kernel(rho_j * r_i), cached or row-chunked."""
+    """K @ vec with K[j,i] = kernel(rho_j * r_i), cached or row-chunked.
+
+    It serves the near blocks of _lattice_matvec, which repeat on every
+    transform of a grid; off-lattice rows go through _factored_matvec and
+    stay out of the cache.
+    """
     m, n = len(rho), len(r)
     if m * n <= _KERNEL_CACHE_CAP:
         key = (dim, n, m, float(r[-1]), float(rho[0]), float(rho[-1]))
@@ -152,8 +161,8 @@ def _inverse_vector(sp):
 
 def _fhat_at(p, rho):
     """Transform values at arbitrary frequencies (not tied to the uniform grid)."""
-    return _SQRT_2_PI * _kernel_matvec(p.dim, np.asarray(rho, float), p.grid.nodes,
-                                       _forward_vector(p))
+    return _SQRT_2_PI * _factored_matvec(p.dim, np.asarray(rho, float), p.grid.nodes,
+                                         _forward_vector(p))
 
 
 def _dst1(w):
@@ -200,6 +209,62 @@ def _lattice_matvec(dim, rows, cols, vec):
     cos_sum = _dct1(far)[c0 + 1:]
     far[c0 + 1:] /= k
     out[c0 + 1:] += t**3 * _dst1(far)[c0 + 1:] - t**2 * cos_sum
+    return out
+
+
+def _factored_matvec(dim, rows, cols, vec):
+    """K @ vec with K[j,i] = kernel(rows[j] * cols[i]), rows >= 0, cols[i] = cols[0] + i h.
+
+    The columns of a row with x < 2 go through the direct kernel.  Past them
+    the closed form is a sum of vec_i c_i^-k exp(i rho c_i) (k = 1 in dim 3,
+    k = 3 and 2 in dim 5), where every term is below |vec_i| / 2: no
+    cancellation is amplified.  Writing the far columns as
+    c = c_f + (q B + p) h with B = ceil(sqrt(n_far)) factors the exponential
+    as E_q(rho) e_p(rho), so each sum is one real matrix product of the
+    (Q x B) weights with e, then a contraction over q with E.  A row takes
+    the blocks past its x < 2 columns and evaluates the rest of the block it
+    lands in directly; it goes fully direct when the blocks would save fewer
+    entries than the B + Q exponentials it needs.
+    """
+    n = len(cols)
+    h = (cols[-1] - cols[0]) / (n - 1)
+    with np.errstate(divide="ignore"):
+        reach = np.ceil((2.0 / rows - cols[0]) / h)  # x < 2 on columns i < reach
+    near = np.clip(reach, 0, n).astype(int)
+    first = int(near.min())  # the first far column of the largest row
+    n_far = n - first
+    width = max(math.ceil(math.sqrt(n_far)), 1)
+    count = -(-n_far // width)
+    block = -(-(near - first) // width)  # each row's first far block
+    split = n_far - block * width > width + count
+    stop = np.where(split, first + block * width, n)
+
+    # direct entries, row j on columns 0 .. stop[j] - 1, summed pairwise per row
+    starts = np.cumsum(stop) - stop
+    ii = np.arange(starts[-1] + stop[-1]) - np.repeat(starts, stop)
+    terms = _kernel(dim, np.repeat(rows, stop) * cols[ii])
+    terms *= vec[ii]
+    out = np.zeros(len(rows))
+    out[stop > 0] = np.add.reduceat(terms, starts[stop > 0])
+    if not split.any():
+        return out
+
+    rho = rows[split]
+    powers = (1,) if dim == 3 else (3, 2)
+    weights = np.zeros((len(powers), count * width))
+    for w, k in zip(weights, powers):
+        w[:n_far] = vec[first:] / cols[first:] ** k
+    inner = np.exp(1j * np.outer(h * np.arange(width), rho))
+    sums = (weights.reshape(-1, width) @ inner.view(float)).view(complex)
+    outer = np.exp(1j * np.outer(cols[first] + (width * h) * np.arange(count), rho))
+    outer[np.arange(count)[:, None] < block[split]] = 0.0
+    sums = (sums.reshape(len(powers), count, -1) * outer).sum(axis=1)
+    if dim == 3:
+        # sin x / x
+        out[split] += sums[0].imag / rho
+    else:
+        # sin x / x^3 - cos x / x^2
+        out[split] += sums[0].imag / rho**3 - sums[1].real / rho**2
     return out
 
 
@@ -451,8 +516,8 @@ def scale(p, lam, a):
     arg = g.nodes / lam
     inside = arg <= g.R
     out = np.zeros_like(arg)
-    out[inside] = _SQRT_2_PI * _kernel_matvec(p.dim, arg[inside], sp.rho_nodes,
-                                              _inverse_vector(sp))
+    out[inside] = _SQRT_2_PI * _factored_matvec(p.dim, arg[inside], sp.rho_nodes,
+                                                _inverse_vector(sp))
     result = RadialProfile(lam**a * out, g, p.dim)
     if lam > 1 and not result.decay_certified:
         warnings.warn("dilated support does not fit the grid", RuntimeWarning,

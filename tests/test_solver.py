@@ -218,6 +218,16 @@ def test_hard_stop_on_runaway_state():
     assert tr.final_state.t < 1.0
 
 
+def test_trace_rows_carry_no_instance_dict():
+    trace = DiagnosticsTrace(rows=[TraceRow(t, 1.0, 0.1, 0.2, math.nan, math.nan, 0)
+                                   for t in (0.0, 0.5)])
+    assert not hasattr(trace.rows[-1], "__dict__")
+    trace.rows[-1].blowup_flag = 1  # integrate flags the last row this way
+    assert list(trace.column("blowup_flag")) == [0, 1]
+    with pytest.raises(AttributeError):
+        trace.rows[-1].stop_reason = "growth"
+
+
 def test_blowup_verdict_uses_the_given_threshold():
     rows = [TraceRow(t, 1.0, 0.1, g, math.nan, math.nan, 0)
             for t, g in zip((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 5.0, 20.0, 80.0, 200.0))]

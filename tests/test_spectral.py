@@ -224,6 +224,81 @@ def test_transform_builds_only_the_near_field(monkeypatch):
     assert 0 < sum(entries) <= 2 * (c0 + 1) * (N + 1)  # the full matrix has N (N + 1)
 
 
+def _norm_panels(g, dim, s=1.5):
+    """The Gauss-Jacobi head and the Gauss-Legendre panels of _spectral_moment."""
+    x, _ = spectral._jacobi_rule(2.0 * s + dim - 1.0)
+    xg, _ = spectral._legendre_rule(48)
+    edges = spectral._panel_edges(1.0, math.pi / g.dr)
+    return [x] + [0.5 * (a + b) + 0.5 * (b - a) * xg for a, b in zip(edges[:-1], edges[1:])]
+
+
+@pytest.mark.parametrize("N", [8, 64, 999, 4096])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_panel_transforms_match_the_direct_kernel(dim, N):
+    g = RadialGrid(20.0, N)
+    rho = np.concatenate(_norm_panels(g, dim))
+    profiles = [RadialProfile(v, g, dim) for v in _transform_profiles(g.nodes, g.dr)]
+    fwd = np.stack([spectral._forward_vector(p) for p in profiles], axis=1)
+    want, _ = _direct_transforms(dim, rho, g.nodes, fwd, np.zeros((len(rho), 0)))
+    want *= spectral._SQRT_2_PI
+    for col, p in enumerate(profiles):
+        peak = np.max(np.abs(want[:, col]))
+        assert np.max(np.abs(spectral._fhat_at(p, rho) - want[:, col])) <= 1e-14 * peak
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_scale_matches_the_direct_kernel(dim, lam):
+    g = RadialGrid(20.0, 999)
+    arg = g.nodes / lam
+    inside = arg <= g.R
+    assert lam >= 1 or not inside.all()  # contractions drop the nodes past R
+    for v in _transform_profiles(g.nodes, g.dr):
+        p = RadialProfile(v, g, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # dilated ring and spike tails
+            got = scale(p, lam, 0.75).values
+        sp = radial_fourier(p)
+        vec = spectral._inverse_vector(sp)
+        want, _ = _direct_transforms(dim, arg[inside], sp.rho_nodes, vec[:, None],
+                                     np.zeros((g.N, 0)))
+        # a sum rounds on the scale of its terms: near the axis the ring's
+        # resampling cancels terms up to 70 times its peak, and there the
+        # direct sum itself is 1.6e-14 of the peak off its long-double value
+        terms = np.abs(spectral._kernel(dim, np.outer(arg[inside], sp.rho_nodes))) @ np.abs(vec)
+        factor = lam**0.75 * spectral._SQRT_2_PI
+        assert np.all(got[~inside] == 0.0)
+        assert np.max(np.abs(got[inside] - factor * want[:, 0])) <= 1e-14 * factor * np.max(terms)
+
+
+def test_norms_build_no_dense_panel_kernel(monkeypatch):
+    N = 16384
+    g = RadialGrid(20.0, N)
+    p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
+    entries = []
+    kernel = spectral._kernel
+    monkeypatch.setattr(spectral, "_kernel",
+                        lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
+    sobolev_norm(p, 1.5)
+    besov_norm(p, 1.5, 2, 1)
+    assert 0 < sum(entries) <= 2 * 48 * (N + 1)  # one dense panel has 48 (N + 1)
+
+
+def test_scale_builds_no_dense_kernel(monkeypatch):
+    N = 2048
+    g = RadialGrid(20.0, N)
+    p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
+    entries = []
+    kernel = spectral._kernel
+    monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(spectral, "_kernel",
+                        lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
+    scale(p, 1.2, -1.0)
+    assert 0 < sum(entries) <= (N + 1) * N // 8  # the dense resampling has (N + 1) N
+    c0 = math.ceil(math.sqrt(2.0 * N / math.pi))
+    assert all(min(mat.shape) <= c0 + 1 for mat in spectral._KERNEL_CACHE.values())
+
+
 @pytest.mark.parametrize("dim", [3, 5])
 def test_fine_grid_transform_matches_gaussian_oracle(dim):
     g = RadialGrid(20.0, 16384)
