@@ -21,12 +21,15 @@ applied at evaluation time).  With the switch at 0.05 the relative error of
 either branch stays below 2e-13 in double precision; at 1e-2 the closed forms
 already lose 1e-12 to cancellation, which is why the switch sits where it does.
 
-A model evaluates all the coefficients it needs in one pass: one Horner
-sweep gives the series of every id on every sample, and the closed forms,
-sharing sin u and cos u, replace it on the samples past the switch.
+A model evaluates all the coefficients it needs through a plan built once
+per id set.  Each sample takes exactly one branch: the branch holding most
+samples runs on the whole array, the other on the gathered rest.  The series
+is one Horner sweep; the closed forms share sin 2u, sin u, cos u and 1/u^k.
 """
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -53,10 +56,8 @@ def _load_series_table():
     table = {}
     for cid, by_degree in raw.items():
         degrees = sorted(by_degree)
-        odd = degrees[0] % 2 == 1
-        # ascending coefficients in u^2 (c3 carries one extra factor of u)
-        expected = range(1 if odd else 0, degrees[-1] + 1, 2)
-        if list(expected) != degrees:
+        odd = degrees[0] % 2 == 1  # ascending in u^2; c3 carries one extra factor of u
+        if degrees != list(range(int(odd), degrees[-1] + 1, 2)):
             raise DomainError(f"series table for coefficient {cid} has gaps: {degrees}")
         table[cid] = (odd, np.array([by_degree[d] for d in degrees]))
     return table
@@ -66,79 +67,90 @@ _SERIES = _load_series_table()
 _N_TERMS = max(coeffs.size for _, coeffs in _SERIES.values())
 # sin(u)/u = sum_k (-1)^k u^2k / (2k+1)!, as many terms as the tables carry
 _SERIES[SINC] = (False, np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(_N_TERMS)]))
-# one zero-padded row per id; the leading zeros leave Horner's sums unchanged
-_SERIES_ROWS = np.zeros((len(_SERIES), _N_TERMS))
-for _cid, (_, _coeffs) in _SERIES.items():
-    _SERIES_ROWS[_cid, :_coeffs.size] = _coeffs
 
 
-def _series_eval(cid, u):
-    """Taylor branch of coefficient cid, or one row per id if cid is a sequence.
-
-    Horner's rule in u^2, element by element over all rows at once: each
-    sample gets the bits polyval would give it, whatever the batch size.
-    """
-    ids = list(np.atleast_1d(cid))
-    u = np.asarray(u, dtype=float)
-    flat = u.reshape(-1)
-    x2 = flat * flat
-    coeffs = _SERIES_ROWS[ids]
-    rows = np.repeat(coeffs[:, -1:], flat.size, axis=1)
-    for k in range(_N_TERMS - 2, -1, -1):
-        rows *= x2
-        rows += coeffs[:, k:k + 1]
-    for row, i in zip(rows, ids):
-        if _SERIES[i][0]:  # odd: one extra factor of u
-            row *= flat
-    rows = rows.reshape((len(ids),) + u.shape)
-    return rows if np.ndim(cid) else rows[0]
+_Plan = namedtuple("_Plan", "ids columns odd scaled")
 
 
-def _closed_eval(cid, u):
-    """Closed form of coefficient cid, or a list of rows if cid is a sequence.
-
-    sin u, cos u and sin 2u are each computed once, if any row needs them.
-    """
-    ids = set(np.atleast_1d(cid).tolist())
-    su = np.sin(u) if ids & {SINC, 2, 3, 6} else None
-    cu = np.cos(u) if ids & {3, 6} else None
-    s2u = np.sin(2 * u) if ids & {1, 2, 4, 5} else None
-    forms = {
-        SINC: lambda: su / u,
-        1: lambda: (s2u - 2 * u) / u**3,
-        2: lambda: s2u * (su * su - u * u) / u**5,
-        3: lambda: 4 * su * (su - u * cu) / u**3,
-        4: lambda: s2u / u,
-        6: lambda: (u - su * cu) * (1 - np.cos(2 * u)) / u**5,
-    }
-    forms[5] = forms[1]
-    rows = [forms[i]() for i in np.atleast_1d(cid)]
-    return rows if np.ndim(cid) else rows[0]
-
-
-def _coefficients(ids, u, alpha=None):
-    """Rows c_id(u), one per id in ids, from one pass over u.
-
-    The series runs on every sample; the closed forms replace it on the
-    samples at or past the switch.  No finiteness validation: NaN propagates,
-    which the solver relies on.  alpha is needed for ids 2, 3, 4.
-    """
+@lru_cache(maxsize=None)
+def _plan(ids):
+    """One id set's plan, built once: its Horner columns, highest degree first
+    and zero-padded at the top (the leading zeros leave every sum unchanged),
+    and the rows that take an extra factor u (odd) or alpha^2 (scaled)."""
     for i in ids:
         if i not in _SERIES:
             raise DomainError(f"coefficient id must be in 1..6, got {i}")
+    table = np.zeros((len(ids), max(_SERIES[i][1].size for i in ids)))
+    for row, i in zip(table, ids):
+        row[:_SERIES[i][1].size] = _SERIES[i][1]
+    return _Plan(ids, tuple(table.T[::-1, :, None]), tuple(k for k, i in enumerate(ids) if _SERIES[i][0]),
+                 tuple(k for k, i in enumerate(ids) if i not in ALPHA_FREE))
+
+
+def _series_rows(plan, u):
+    """Taylor branch on the 1-D array u: Horner in u^2 over all rows at once."""
+    x2 = u * u
+    x2[x2 < np.finfo(float).tiny] = 0.0  # a subnormal square changes no rounded sum but slows products
+    rows = plan.columns[0] * x2
+    for column in plan.columns[1:-1]:
+        rows += column
+        rows *= x2
+    rows += plan.columns[-1]
+    for k in plan.odd:
+        rows[k] *= u
+    return rows
+
+
+def _closed_rows(plan, u):
+    """Closed forms on the 1-D array u, one formula per id whichever set asks
+    (c1 = c5 always from sin 2u), sharing sin 2u, sin u, cos u and 1/u^k."""
+    ids = set(plan.ids)
+    s2u = np.sin(2.0 * u) if ids - {SINC, 3} else None
+    su = np.sin(u) if ids & {SINC, 2, 3, 6} else None
+    cu = np.cos(u) if 3 in ids else None
+    inv = 1.0 / u
+    inv3 = inv * inv * inv
+    inv5 = inv3 * inv * inv if ids & {2, 6} else None
+    rows = np.empty((len(plan.ids), u.size))
+    for row, i in zip(rows, plan.ids):
+        if i in (SINC, 4):
+            np.multiply(su if i == SINC else s2u, inv, out=row)
+        elif i in (1, 5):
+            np.multiply(s2u - 2.0 * u, inv3, out=row)
+        elif i == 2:
+            np.multiply(s2u * (su * su - u * u), inv5, out=row)
+        elif i == 3:
+            np.multiply(4.0 * su * (su - u * cu), inv3, out=row)
+        else:  # (u - sin u cos u)(1 - cos 2u) = (2u - sin 2u) sin^2 u
+            np.multiply((2.0 * u - s2u) * su * su, inv5, out=row)
+    return rows
+
+
+def _coefficients(ids, u, alpha=None):
+    """Rows c_id(u), one per id in ids, each sample through exactly one branch.
+
+    The branch holding most samples runs on the whole array, the other on the
+    gathered rest, written back row by row.  Every step is elementwise, so a
+    sample gets the same bits alone as in any batch.  No finiteness check:
+    NaN propagates, which the solver relies on.  Ids 2, 3, 4 need alpha.
+    """
+    plan = _plan(tuple(ids))
+    if plan.scaled and alpha is None:
+        raise DomainError(f"coefficient {plan.ids[plan.scaled[0]]} needs alpha")
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
-    big = np.abs(flat) >= SERIES_SWITCH
-    with np.errstate(invalid="ignore", over="ignore"):
-        rows = _series_eval(ids, flat)
-        for row, values in zip(rows, _closed_eval(ids, flat[big])):
-            row[big] = values
-    for row, i in zip(rows, ids):
-        if i not in ALPHA_FREE:
-            if alpha is None:
-                raise DomainError(f"coefficient {i} needs alpha")
-            row *= alpha * alpha
-    return rows.reshape((len(ids),) + u.shape)
+    small = np.abs(flat) < SERIES_SWITCH
+    with np.errstate(all="ignore"):
+        if 2 * np.count_nonzero(small) >= flat.size:
+            rows, rest, other = _series_rows(plan, flat), np.flatnonzero(~small), _closed_rows
+        else:
+            rows, rest, other = _closed_rows(plan, flat), np.flatnonzero(small), _series_rows
+        if rest.size:
+            for row, values in zip(rows, other(plan, flat[rest])):
+                row[rest] = values
+    for k in plan.scaled:
+        rows[k] *= alpha * alpha
+    return rows.reshape((len(plan.ids),) + u.shape)
 
 
 def _tilde_h_raw(cid, u, alpha=None):
@@ -158,9 +170,8 @@ def tilde_h(cid, u, alpha=None):
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)):
         raise DomainError("u must be finite")
-    if cid not in ALPHA_FREE:
-        if alpha is None or not np.isfinite(alpha) or alpha <= 0:
-            raise DomainError(f"coefficient {cid} needs alpha > 0, got {alpha}")
+    if cid not in ALPHA_FREE and (alpha is None or not np.isfinite(alpha) or alpha <= 0):
+        raise DomainError(f"coefficient {cid} needs alpha > 0, got {alpha}")
     out = _tilde_h_raw(cid, u_arr, alpha)
     return float(out) if np.ndim(u) == 0 else out
 
@@ -168,12 +179,6 @@ def tilde_h(cid, u, alpha=None):
 def sinc(u):
     """sin(u)/u with the removable singularity handled exactly at u = 0."""
     return _tilde_h_raw(SINC, u)
-
-
-def _skyrme_denominator(v, sinc_u, alpha):
-    """1 + 2 alpha^2 (v sin(u)/u)^2 from samples of sin(u)/u; no validation."""
-    s = v * sinc_u
-    return 1.0 + 2.0 * alpha * alpha * s * s
 
 
 def skyrme_denominator(r, v, alpha):
@@ -187,7 +192,8 @@ def skyrme_denominator(r, v, alpha):
         raise DomainError("inputs must be finite")
     if np.any(r < 0):
         raise DomainError("r must be >= 0")
-    out = _skyrme_denominator(v, sinc(r * v), alpha)
+    s = v * sinc(r * v)
+    out = 1.0 + 2.0 * alpha * alpha * s * s
     return float(out) if np.ndim(r) == 0 and np.ndim(v) == 0 else out
 
 

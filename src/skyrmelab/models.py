@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coefficients import SINC, _coefficients, _skyrme_denominator, _tilde_h_raw, sinc
+from .coefficients import SINC, _coefficients, _tilde_h_raw
 from .errors import DomainError
 
 
@@ -60,30 +60,49 @@ class ModelSpec:
 def _neg_nonlinearity(model, r, v, v_r, v_t):
     """-N(r, v, v_r, v_t), vectorized; NaN propagates (the solver's blow-up flag).
 
-    Every coefficient a model needs comes from one pass of the evaluator.
+    Every coefficient a model needs comes from one pass of the evaluator, and
+    the algebra runs in place on its rows.
     """
     kind, alpha = model.kind, model.alpha
     if kind is Kind.FREE_WAVE_5D:
-        return np.zeros_like(np.asarray(v, dtype=float))
-    u = r * v
-    v3 = v * v * v
-    if kind is Kind.WAVE_MAP:
-        return -(_tilde_h_raw(1, u) * v3)
-    if kind is Kind.ADKINS_NAPPI:
-        c1, c6 = _coefficients((1, 6), u)
-        return -((c1 + c6 * v * v) * v3)
+        return v - v  # zero, and NaN where v is not finite
     if kind is Kind.ADKINS_NAPPI_APPROX:
-        return -(v3 * v * v)
+        return -(v * v * v * v * v)
     if kind is Kind.SKYRME_APPROX:
         a2 = alpha * alpha
         return -(2.0 * a2 * v * (v_t * v_t - v_r * v_r)) / (1.0 + 2.0 * a2 * v * v)
-    # full Skyrme
-    c1, c2, c3, c4, sinc_u = _coefficients((1, 2, 3, 4, SINC), u, alpha)
-    num = (c1 * v3
-           + c2 * v3 * v * v
-           + c3 * v3 * v_r
-           + c4 * v * (v_t * v_t - v_r * v_r))
-    return -num / _skyrme_denominator(v, sinc_u, alpha)
+    u = r * v
+    neg_v3 = -v * v * v
+    if kind is Kind.WAVE_MAP:
+        c1 = _tilde_h_raw(1, u)
+        c1 *= neg_v3
+        return c1
+    if kind is Kind.ADKINS_NAPPI:  # -(c1 + c6 v^2) v^3
+        c1, c6 = _coefficients((1, 6), u)
+        c6 *= v
+        c6 *= v
+        c6 += c1
+        c6 *= neg_v3
+        return c6
+    # full Skyrme: -[v^3 (c1 + c2 v^2 + c3 v_r) + c4 v (v_t^2 - v_r^2)] / D
+    c1, c2, c3, c4, sin_over_r = _coefficients((1, 2, 3, 4, SINC), np.atleast_1d(u), alpha)
+    c2 *= v
+    c2 *= v
+    c2 += c1
+    c3 *= v_r
+    c2 += c3
+    c2 *= neg_v3
+    q = np.multiply(v_t, v_t, out=c1)  # c1 and c3 are spent: scratch from here
+    q -= np.multiply(v_r, v_r, out=c3)
+    c4 *= v
+    c4 *= q
+    c2 -= c4
+    sin_over_r *= v  # sin(u)/r, finite at the axis
+    d = np.multiply(sin_over_r, 2.0 * alpha * alpha, out=c1)
+    d *= sin_over_r
+    d += 1.0
+    c2 /= d
+    return c2.reshape(np.shape(u))
 
 
 def rhs_u(model, r, u, u_r, u_t, u_rr):
@@ -160,7 +179,8 @@ def energy_density_v(model, r, v, v_r, v_t):
         return kin + np.sin(u) ** 2
     if kind is Kind.SKYRME:
         a2, su = alpha * alpha, np.sin(u)
-        sin_over_r = v * sinc(u)  # sin(u)/r, finite at the axis
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sin_over_r = np.where(r > 0, su / r, v)  # sin(u)/r, and its limit v at the axis
         D = 1.0 + 2.0 * a2 * sin_over_r * sin_over_r
         return D * kin + su * su + a2 * su * su * sin_over_r * sin_over_r / 2.0
     if kind is Kind.ADKINS_NAPPI:
@@ -172,7 +192,3 @@ def energy_density_v(model, r, v, v_r, v_t):
         return (1.0 + 2.0 * a2 * v * v) * kin + u * u + a2 * u * u * v * v / 2.0
     return kin + u * u + u**4 * v * v / 6.0
 
-
-def null_form(v_t, v_r):
-    """Q(v, v) = v_t^2 - v_r^2; vanishes along characteristic directions."""
-    return v_t * v_t - v_r * v_r

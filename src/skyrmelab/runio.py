@@ -9,6 +9,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from .solver import FieldState, detect_blowup, integrate
 TRACE_COLUMNS = ("t", "total_energy", "sup_abs_u", "sup_abs_u_r",
                  "lightcone_energy", "deficit", "blowup_flag")
 _FMT = "%.17g"
+_TRACE_ROW = ",".join([_FMT] * (len(TRACE_COLUMNS) - 1) + ["%d"]) + "\n"
+_trace_cells = attrgetter(*TRACE_COLUMNS)
 
 
 def output_root():
@@ -35,12 +38,9 @@ def _fmt(x):
 def write_trace(path, trace):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in trace.rows:
-        cells = [_fmt(getattr(row, c)) for c in TRACE_COLUMNS[:-1]]
-        cells.append(str(row.blowup_flag))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(_TRACE_ROW % _trace_cells(row) for row in trace.rows)
     return path
 
 
@@ -49,9 +49,10 @@ def read_trace(path):
     lines = Path(path).read_text().splitlines()
     if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
         raise ConfigError(f"{path}: not a trace file (bad header)")
-    table = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float)
-    if table.ndim != 2 or table.shape[1] != len(TRACE_COLUMNS):
+    body = lines[1:]
+    if not body or any(ln.count(",") != len(TRACE_COLUMNS) - 1 for ln in body):
         raise ConfigError(f"{path}: malformed trace rows")
+    table = np.array(",".join(body).split(","), dtype=float).reshape(len(body), -1)
     return {name: table[:, j] for j, name in enumerate(TRACE_COLUMNS)}
 
 
@@ -63,8 +64,8 @@ def write_snapshot(path, state):
     alpha = "" if model.alpha is None else f" alpha={_fmt(model.alpha)}"
     with open(path, "w") as fh:  # row by row: no copy of the whole file in memory
         fh.write(f"# t={_fmt(state.t)}\n# model={model.kind.value}{alpha}\n# N={g.N}  R={_fmt(g.R)}\n")
-        fh.writelines(f"{_fmt(r)} {_fmt(v)} {_fmt(vt)}\n"
-                      for r, v, vt in zip(g.nodes, state.v, state.vt))
+        fh.writelines("%.17g %.17g %.17g\n" % row
+                      for row in zip(g.nodes.tolist(), state.v.tolist(), state.vt.tolist()))
     return path
 
 
@@ -91,9 +92,10 @@ def read_snapshot(path):
     N, R = int(meta["N"]), float(meta["R"])
     if len(body) != N + 1:
         raise ConfigError(f"{path}: expected {N + 1} rows, found {len(body)}")
-    table = np.array([[float(c) for c in ln.split()] for ln in body], dtype=float)
-    if table.shape[1] != 3:
+    cells = " ".join(body).split()
+    if len(cells) != 3 * len(body):
         raise ConfigError(f"{path}: snapshot rows must be 'r v vt'")
+    table = np.array(cells, dtype=float).reshape(len(body), 3)
     grid = RadialGrid(R, N)
     if not np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-12 * R):
         raise ConfigError(f"{path}: radius column does not match a uniform grid on (0, {R}]")

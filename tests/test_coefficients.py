@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 from skyrmelab.coefficients import (
     SERIES_SWITCH,
     SINC,
-    _closed_eval,
+    _closed_rows,
     _coefficients,
-    _series_eval,
+    _plan,
+    _series_rows,
     check_coeff_bounds,
     check_sin_inequality,
+    sinc,
     skyrme_denominator,
     tilde_h,
 )
@@ -75,6 +77,70 @@ def test_one_pass_is_independent_of_batch_size():
     assert np.array_equal(_coefficients(ids, us[:3], alpha=1.3), rows[:, :3])
 
 
+# the id sets the models ask for, with the alpha each needs
+MODEL_SETS = (((1,), None), ((1, 6), None), ((1, 2, 3, 4, SINC), 1.3))
+EDGES = [0.0, -0.0, SERIES_SWITCH, -SERIES_SWITCH, math.nan, math.inf, -math.inf, 1e71, 5e-324]
+
+
+@pytest.mark.parametrize("mostly_past", [True, False])
+def test_batch_independence_in_both_branch_orders(mostly_past):
+    # a batch mostly past the switch and one mostly below it put the two
+    # branches in opposite orders; a sample alone, or in a batch of its own
+    # branch, must get the same bits either way
+    rng = np.random.default_rng(11 if mostly_past else 12)
+    n_past, n_below = (300, 40) if mostly_past else (40, 300)
+    past = rng.uniform(SERIES_SWITCH, 40.0, n_past) * rng.choice([-1.0, 1.0], n_past)
+    below = rng.uniform(-SERIES_SWITCH, SERIES_SWITCH, n_below)
+    us = np.concatenate([past, below, EDGES])
+    rng.shuffle(us)
+    small = np.abs(us) < SERIES_SWITCH
+    assert (np.count_nonzero(small) < us.size / 2) == mostly_past
+    for ids, alpha in MODEL_SETS:
+        rows = _coefficients(ids, us, alpha)
+        for k, u in enumerate(us):
+            assert np.array_equal(_coefficients(ids, u, alpha), rows[:, k], equal_nan=True), (ids, u)
+        for part in (small, ~small):
+            assert np.array_equal(_coefficients(ids, us[part], alpha), rows[:, part], equal_nan=True)
+
+
+def test_each_coefficient_is_bit_equal_across_sets():
+    # one formula per coefficient: its bits never depend on which set asked
+    rng = np.random.default_rng(5)
+    us = np.concatenate([rng.uniform(-0.06, 0.06, 200), rng.uniform(-30.0, 30.0, 200),
+                         [0.0, SERIES_SWITCH, -SERIES_SWITCH, 1e71, 5e-324]])
+    alpha = 1.3
+    wm, = _coefficients((1,), us)
+    an1, an6 = _coefficients((1, 6), us)
+    sk1, sk2, sk3, sk4, sk_sinc = _coefficients((1, 2, 3, 4, SINC), us, alpha)
+    for row in (an1, sk1, tilde_h(1, us), tilde_h(5, us)):
+        assert np.array_equal(row, wm)
+    assert np.array_equal(an6, tilde_h(6, us))
+    for cid, row in ((2, sk2), (3, sk3), (4, sk4)):
+        assert np.array_equal(row, tilde_h(cid, us, alpha)), cid
+    assert np.array_equal(sk_sinc, sinc(us))
+
+
+def test_series_matches_high_precision_closed_forms():
+    mpmath = pytest.importorskip("mpmath")
+    forms = {
+        1: lambda u: (mpmath.sin(2 * u) - 2 * u) / u**3,
+        2: lambda u: mpmath.sin(2 * u) * (mpmath.sin(u) ** 2 - u**2) / u**5,
+        3: lambda u: 4 * mpmath.sin(u) * (mpmath.sin(u) - u * mpmath.cos(u)) / u**3,
+        4: lambda u: mpmath.sin(2 * u) / u,
+        6: lambda u: (u - mpmath.sin(u) * mpmath.cos(u)) * (1 - mpmath.cos(2 * u)) / u**5,
+        SINC: lambda u: mpmath.sin(u) / u,
+    }
+    rng = np.random.default_rng(3)
+    us = rng.uniform(-SERIES_SWITCH, SERIES_SWITCH, 200)
+    assert np.all((us != 0.0) & (np.abs(us) < SERIES_SWITCH))
+    ids = tuple(forms)
+    rows = _coefficients(ids, us, alpha=1.0)  # every sample below the switch: series only
+    for row, cid in zip(rows, ids):
+        with mpmath.workdps(50):
+            want = np.array([float(forms[cid](mpmath.mpf(float(u)))) for u in us])
+        assert np.all(np.abs(row - want) <= 4e-16 * np.abs(want)), cid
+
+
 def test_alpha_square_scaling():
     for cid in (2, 3, 4):
         base = tilde_h(cid, 1.0, alpha=1.0)
@@ -95,9 +161,11 @@ def test_value_at_half_pi():
 
 def test_switch_continuity():
     eps = SERIES_SWITCH
-    for cid in range(1, 7):
+    for cid in (1, 2, 3, 4, 5, 6, SINC):
+        plan = _plan((cid,))
         for u in (eps, -eps):
-            assert abs(_series_eval(cid, np.float64(u)) - _closed_eval(cid, np.float64(u))) <= 1e-12
+            u = np.array([u])
+            assert abs(_series_rows(plan, u)[0, 0] - _closed_rows(plan, u)[0, 0]) <= 1e-12
 
 
 def test_vectorized_matches_scalar():

@@ -12,7 +12,6 @@ from skyrmelab.models import (
     ModelSpec,
     energy_density,
     energy_density_v,
-    null_form,
     rhs_u,
     _neg_nonlinearity,
 )
@@ -60,6 +59,18 @@ def test_u_form_equals_v_form(kind):
 def test_rhs_v_trivial_zeros():
     assert _neg_nonlinearity(spec_for(Kind.ADKINS_NAPPI), 2.0, 0.0, 0.3, -0.2) == 0.0
     assert _neg_nonlinearity(spec_for(Kind.FREE_WAVE_5D), 1.0, 1.0, 1.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_nonlinearity_propagates_nan(kind):
+    # a NaN sample gives NaN, never an exception, and leaves its neighbours finite
+    r = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    v = np.array([0.3, np.nan, 1.2, np.nan, -0.7])
+    v_r = np.array([0.0, 0.1, -0.4, 0.2, 0.3])
+    v_t = np.array([0.1, -0.2, 0.5, 0.0, 0.4])
+    got = _neg_nonlinearity(spec_for(kind), r, v, v_r, v_t)
+    assert np.array_equal(np.isnan(got), np.isnan(v))
+    assert np.isnan(_neg_nonlinearity(spec_for(kind), 1.0, np.nan, 0.1, 0.2))
 
 
 def test_rhs_v_quintic_truncation_value():
@@ -169,11 +180,6 @@ def test_energy_density_v_finite_at_axis():
         assert np.isfinite(val[0]) and val[0] >= 0.0
 
 
-def test_null_form():
-    assert null_form(1.0, 1.0) == 0.0
-    assert null_form(2.0, 0.0) == 4.0
-
-
 def test_null_form_identity_fd_order():
     """Q(v,v) = -Box(v^2/2) + v Box v with Box = -d_tt + d_rr + (4/r) d_r.
 
@@ -191,7 +197,7 @@ def test_null_form_identity_fd_order():
         t, r = 0.7, 1.9
         v_t = (f.v(t + h, r) - f.v(t - h, r)) / (2 * h)
         v_r = (f.v(t, r + h) - f.v(t, r - h)) / (2 * h)
-        q = null_form(v_t, v_r)
+        q = v_t * v_t - v_r * v_r
         half_sq = lambda tt, rr: 0.5 * f.v(tt, rr) ** 2
         return abs(q + box(half_sq, t, r, h) - f.v(t, r) * box(f.v, t, r, h))
 
