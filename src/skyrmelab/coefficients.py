@@ -176,27 +176,6 @@ def tilde_h(cid, u, alpha=None):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def sinc(u):
-    """sin(u)/u with the removable singularity handled exactly at u = 0."""
-    return _tilde_h_raw(SINC, u)
-
-
-def skyrme_denominator(r, v, alpha):
-    """D = 1 + 2 alpha^2 (sin(u)/r)^2 with u = r v, stable down to r = 0.
-
-    sin(u)/r is evaluated as v * sin(u)/u, whose r -> 0 limit is v.  Always >= 1.
-    """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v)) and np.isfinite(alpha)):
-        raise DomainError("inputs must be finite")
-    if np.any(r < 0):
-        raise DomainError("r must be >= 0")
-    s = v * sinc(r * v)
-    out = 1.0 + 2.0 * alpha * alpha * s * s
-    return float(out) if np.ndim(r) == 0 and np.ndim(v) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # sampled verification of the decay/sign/parity structure of c1..c6
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ class ExpectSpec:
     """Per-scenario acceptance checks evaluated after a run.
 
     All fields optional; unset checks are skipped.  blowup expects the
-    detector verdict, the rest bound measured diagnostics.
+    run's verdict (trace.blew_up), the rest bound measured diagnostics.
     """
     energy_drift_max: float = None
     blowup: bool = None
@@ -110,33 +110,6 @@ class RunConfig:
         return "\n".join(out) + "\n"
 
 
-_RUN_PARSERS = {
-    "model": str,
-    "alpha": float,
-    "R": float,
-    "N": int,
-    "cfl": float,
-    "dt": float,
-    "T": float,
-    "boundary": str,
-    "cadence": int,
-    "lightcone_t0": float,
-    "track_deficit": lambda s: _parse_bool(s),
-    "sup_window": float,
-    "growth_threshold": float,
-    "outdir": str,
-    "name": str,
-}
-_DATA_PARSERS = {
-    "family": str,
-    "amplitude": float,
-    "width": float,
-    "center": float,
-    "snapshot_time": float,
-    "path": str,
-}
-
-
 def _parse_bool(s):
     low = s.lower()
     if low in ("1", "true", "yes", "on"):
@@ -146,16 +119,14 @@ def _parse_bool(s):
     raise ValueError(s)
 
 
-_EXPECT_PARSERS = {
-    "energy_drift_max": float,
-    "blowup": _parse_bool,
-    "growth_min": float,
-    "growth_max": float,
-    "profile_fit_max": float,
-    "sup_u_max": float,
-    "t_star": float,
-    "t_star_tol": float,
-}
+def _parsers(spec):
+    """key -> parser for each field of a config dataclass; the nested sections are not keys."""
+    return {f.name: _parse_bool if f.type is bool else f.type
+            for f in fields(spec) if f.name not in ("data", "expect")}
+
+
+_PARSERS = {"run": _parsers(RunConfig), "data": _parsers(DataSpec),
+            "expect": _parsers(ExpectSpec)}
 
 
 def parse_config(text, name=None):
@@ -165,7 +136,6 @@ def parse_config(text, name=None):
         cfg.name = name
     problems = []
     section = "run"
-    explicit_cfl = False
     key_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -183,7 +153,7 @@ def parse_config(text, name=None):
         if section is None:
             continue
         key, _, value = (part.strip() for part in line.partition("="))
-        parsers = {"run": _RUN_PARSERS, "data": _DATA_PARSERS, "expect": _EXPECT_PARSERS}[section]
+        parsers = _PARSERS[section]
         if key not in parsers:
             problems.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
@@ -193,14 +163,7 @@ def parse_config(text, name=None):
             problems.append((lineno, f"cannot parse {key} = {value!r}"))
             continue
         key_lines[(section, key)] = lineno
-        if section == "run":
-            if key == "cfl":
-                explicit_cfl = True
-            setattr(cfg, key, parsed)
-        elif section == "data":
-            setattr(cfg.data, key, parsed)
-        else:
-            setattr(cfg.expect, key, parsed)
+        setattr(cfg if section == "run" else getattr(cfg, section), key, parsed)
 
     def where(section, key):
         return key_lines.get((section, key))
@@ -225,7 +188,7 @@ def parse_config(text, name=None):
         problems.append((where("run", "cfl"), f"cfl must lie in (0, 0.9], got {cfg.cfl}"))
     if cfg.dt is not None and cfg.dt <= 0:
         problems.append((where("run", "dt"), "dt must be positive"))
-    if cfg.dt is not None and explicit_cfl:
+    if cfg.dt is not None and ("run", "cfl") in key_lines:
         problems.append((where("run", "dt"), "give either dt or cfl, not both"))
     if cfg.T < 0:
         problems.append((where("run", "T"), "T must be >= 0"))

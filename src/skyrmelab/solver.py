@@ -14,9 +14,11 @@ v_t + v_r + 2 v / r = 0, imposed on the evolved v_t at the last two nodes.
 Either way, values at r <= R - t are exactly independent of the choice; the
 optional sup_window confines reported sup-norms to that causally clean region.
 
-Blow-up is a flag, not an exception: the gradient detector (growth of
-sup|u_r| past growth_threshold times its initial value) and the hard stops
-(non-finite state, sup|v| > 1e6) truncate the trace and mark it.
+Blow-up is a flag, not an exception, and integrate alone raises it: the
+gradient trip (a sampled sup|u_r| above growth_threshold times its initial
+value) and the hard stop (sup|v| > HARD_SUP, or a non-finite v or v_t) end the
+run, set trace.blew_up and flag the last row.  detect_blowup only measures a
+finished trace.
 """
 import math
 from dataclasses import dataclass, field
@@ -39,10 +41,9 @@ class FieldState:
     vt: np.ndarray
     grid: RadialGrid
     model: ModelSpec
-    blown_up: bool = False
 
     def copy(self):
-        return FieldState(self.t, self.v.copy(), self.vt.copy(), self.grid, self.model, self.blown_up)
+        return FieldState(self.t, self.v.copy(), self.vt.copy(), self.grid, self.model)
 
 
 @dataclass(slots=True)
@@ -72,7 +73,6 @@ class DiagnosticsTrace:
 
 @dataclass
 class BlowupReport:
-    detected: bool
     t_star_estimate: float
     growth_factor: float
     profile_fit_error: float
@@ -121,10 +121,8 @@ def step_rk4(state, dt, boundary="pin"):
         kv, ka = _rhs(state, v + c * dt * kv, vt + c * dt * ka, boundary)
         sum_v += weight * kv
         sum_a += weight * ka
-    v_new = v + dt / 6.0 * sum_v
-    vt_new = vt + dt / 6.0 * sum_a
-    blown = not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(vt_new)))
-    return FieldState(state.t + dt, v_new, vt_new, state.grid, state.model, blown)
+    return FieldState(state.t + dt, v + dt / 6.0 * sum_v, vt + dt / 6.0 * sum_a,
+                      state.grid, state.model)
 
 
 def sup_abs_u(state, window=None):
@@ -177,15 +175,16 @@ def _deficit_norm(grid, dv, dvt):
 
 
 def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
-              boundary="pin", sup_window=None, observers=(),
-              growth_threshold=GROWTH_THRESHOLD):
+              boundary="pin", sup_window=None, growth_threshold=GROWTH_THRESHOLD):
     """Evolve to time init.t + T (or blow-up), sampling diagnostics as it goes.
 
     cadence is the step stride between trace rows (0 picks ~256 rows).  The
     deficit column co-evolves a free-wave twin from the same data and measures
-    the energy-proxy distance to it.  observers are callables taking the state,
-    invoked at every sampled row.
+    the energy-proxy distance to it.  A hard stop appends a row of NaN
+    diagnostics; either trip sets trace.blew_up and the last row's blowup_flag.
     """
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
     if T < 0:
         raise ConfigError("T must be >= 0")
     n_steps = max(int(math.ceil(T / dt - 1e-12)), 0) if T > 0 else 0
@@ -222,54 +221,48 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
             blowup_flag=0,
         )
         trace.rows.append(row)
-        for obs in observers:
-            obs(state)
         return sup_ur > growth_threshold * initial_gradient
 
-    tripped = sample(state, twin)
+    stopped = sample(state, twin)
     for step in range(1, n_steps + 1):
-        if tripped:
+        if stopped:
             break
         state = step_rk4(state, dt_actual, boundary)
         if twin is not None:
             twin = step_rk4(twin, dt_actual, boundary)
-        hard = state.blown_up or float(np.max(np.abs(state.v))) > HARD_SUP
-        if hard or step % cadence == 0 or step == n_steps:
-            if hard:
-                trace.blew_up = True
-                row = TraceRow(state.t, math.nan, math.nan, math.nan, math.nan, math.nan, 1)
-                trace.rows.append(row)
-                break
-            tripped = sample(state, twin)
-            if tripped:
-                trace.blew_up = True
-                trace.rows[-1].blowup_flag = 1
-                break
+        # NaN in v fails the comparison too
+        if not (np.max(np.abs(state.v)) <= HARD_SUP and np.all(np.isfinite(state.vt))):
+            trace.rows.append(TraceRow(state.t, math.nan, math.nan, math.nan, math.nan,
+                                       math.nan, 0))
+            stopped = True
+        elif step % cadence == 0 or step == n_steps:
+            stopped = sample(state, twin)
+    if stopped:
+        trace.blew_up = True
+        trace.rows[-1].blowup_flag = 1
     trace.final_state = state
     return trace
 
 
-def detect_blowup(trace, state=None, growth_threshold=GROWTH_THRESHOLD):
-    """Gradient-concentration verdict with collapse-time and profile diagnostics.
+def detect_blowup(trace, state=None):
+    """Growth, collapse-time and profile diagnostics of a finished trace.
 
-    Growth of sup|u_r| by growth_threshold or more, or a trace already marked
-    blew_up, is a detection; pass the threshold the run was integrated with.
-
-    t* comes from a straight-line fit of 1/sup|u_r| against t over the final
+    The verdict is the run's: trace.blew_up, set by integrate.  growth is the
+    largest sampled sup|u_r| over the first.  Only on a blown-up trace, t*
+    comes from a straight-line fit of 1/sup|u_r| against t over the final
     decade of growth; the profile check rescales u(t_end, rho (t* - t_end))
     and measures the relative L^2(rho <= 5) misfit against 2 arctan(rho).
     """
     rows = [row for row in trace.rows if math.isfinite(row.sup_abs_u_r)]
     if not rows:
-        return BlowupReport(detected=trace.blew_up, t_star_estimate=math.nan,
-                            growth_factor=math.nan, profile_fit_error=math.nan)
+        return BlowupReport(t_star_estimate=math.nan, growth_factor=math.nan,
+                            profile_fit_error=math.nan)
     sup = np.array([row.sup_abs_u_r for row in rows])
     times = np.array([row.t for row in rows])
     growth = float(np.max(sup) / max(sup[0], 1e-300))
-    detected = trace.blew_up or growth >= growth_threshold
     t_star = math.inf
     fit_error = math.nan
-    if detected and np.max(sup) > 0:
+    if trace.blew_up and np.max(sup) > 0:
         late = sup >= 0.1 * np.max(sup)
         if np.count_nonzero(late) >= 2:
             # 1/sup ~ a (t* - t): intercept of the fitted line with zero
@@ -283,8 +276,8 @@ def detect_blowup(trace, state=None, growth_threshold=GROWTH_THRESHOLD):
             target = 2.0 * np.arctan(rho)
             fit_error = float(np.sqrt(np.trapezoid((u_resc - target) ** 2, rho)
                                       / np.trapezoid(target**2, rho)))
-    return BlowupReport(detected=detected, t_star_estimate=t_star,
-                        growth_factor=growth, profile_fit_error=fit_error)
+    return BlowupReport(t_star_estimate=t_star, growth_factor=growth,
+                        profile_fit_error=fit_error)
 
 
 def scattering_deficit(init, dt, T1, T2, boundary="pin"):

@@ -174,6 +174,25 @@ def test_norms_rejects_bad_exponents(outroot, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("old,new", [
+    ("model=skyrme", "model=bogus"),
+    ("N=16", "N=sixteen"),
+    ("t=0 ", "t=zero "),
+    ("alpha=1.5", "alpha=one"),
+    ("\n0.625 ", "\n0.625x "),
+], ids=["model", "N", "t", "alpha", "cell"])
+def test_norms_malformed_snapshot_exits_2(tmp_path, capsys, old, new):
+    g = RadialGrid(10.0, 16)
+    v = np.exp(-g.nodes**2)
+    snap = write_snapshot(tmp_path / "bad.snap", FieldState(0.0, v, np.zeros_like(v), g,
+                                                            ModelSpec(Kind.SKYRME, alpha=1.5)))
+    text = snap.read_text().replace("# t=0\n", "# t=0 \n")
+    assert old in text
+    snap.write_text(text.replace(old, new, 1))
+    assert main(["norms", str(snap), "--s", "1.0"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_norms_missing_snapshot_exits_3(outroot, capsys):
     rc = main(["norms", "/no/such.snap", "--s", "1.0"])
     assert rc == 3

@@ -14,8 +14,6 @@ from skyrmelab.coefficients import (
     _series_rows,
     check_coeff_bounds,
     check_sin_inequality,
-    sinc,
-    skyrme_denominator,
     tilde_h,
 )
 from skyrmelab.errors import DomainError
@@ -117,7 +115,7 @@ def test_each_coefficient_is_bit_equal_across_sets():
     assert np.array_equal(an6, tilde_h(6, us))
     for cid, row in ((2, sk2), (3, sk3), (4, sk4)):
         assert np.array_equal(row, tilde_h(cid, us, alpha)), cid
-    assert np.array_equal(sk_sinc, sinc(us))
+    assert np.array_equal(sk_sinc, _coefficients((SINC,), us)[0])
 
 
 def test_series_matches_high_precision_closed_forms():
@@ -200,21 +198,6 @@ def test_domain_errors():
         tilde_h(7, 1.0)
     with pytest.raises(DomainError):
         tilde_h(1, math.nan)
-    with pytest.raises(DomainError):
-        skyrme_denominator(-1.0, 0.5, 1.0)
-
-
-def test_skyrme_denominator_values():
-    assert skyrme_denominator(0.0, 0.0, 1.0) == 1.0
-    assert skyrme_denominator(0.0, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)
-    assert skyrme_denominator(2.0, math.pi / 2, 1.0) == pytest.approx(1.0, rel=0, abs=1e-14)
-
-
-@given(st.floats(min_value=0, max_value=100, allow_nan=False),
-       st.floats(min_value=-50, max_value=50, allow_nan=False),
-       st.floats(min_value=1e-3, max_value=10, allow_nan=False))
-def test_skyrme_denominator_at_least_one(r, v, alpha):
-    assert skyrme_denominator(r, v, alpha) >= 1.0
 
 
 def test_coeff_bound_reports():

@@ -56,6 +56,13 @@ def test_trace_rejects_foreign_header(tmp_path):
         read_trace(bad)
 
 
+def test_trace_rejects_non_numeric_cell(tmp_path):
+    bad = tmp_path / "x.csv"
+    bad.write_text(",".join(TRACE_COLUMNS) + "\n0,1,2,3,nan,nan,0\n0.5,1,two,3,nan,nan,0\n")
+    with pytest.raises(ConfigError):
+        read_trace(bad)
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = parse_config(SMALL, name="tiny")
     r1 = run_scenario(cfg, outdir=tmp_path / "a")
@@ -170,4 +177,4 @@ snapshot_time = 1.0
     rep = run_scenario(parse_config(text, name="collapse"), outdir=tmp_path / "collapse")
     assert 100.0 < rep.blowup.growth_factor < 1000.0
     assert not rep.blew_up
-    assert not rep.blowup.detected
+    assert rep.blowup.t_star_estimate == math.inf

@@ -194,7 +194,6 @@ def test_blowup_detector_on_wave_map_collapse():
     assert tr.blew_up
     assert tr.rows[-1].blowup_flag == 1
     rep = detect_blowup(tr, tr.final_state)
-    assert rep.detected
     assert rep.growth_factor >= 100.0
     assert abs(rep.t_star_estimate - 1.0) < 0.01
     assert rep.profile_fit_error < 0.05
@@ -203,8 +202,8 @@ def test_blowup_detector_on_wave_map_collapse():
 def test_no_blowup_report_on_quiet_run():
     st = gaussian_state(RadialGrid(12.0, 256), SKYRME1, amplitude=0.1)
     tr = integrate(st, 0.5 * st.grid.dr, 1.0, cadence=8)
+    assert not tr.blew_up
     rep = detect_blowup(tr, tr.final_state)
-    assert not rep.detected
     assert rep.t_star_estimate == math.inf
 
 
@@ -218,6 +217,32 @@ def test_hard_stop_on_runaway_state():
     assert tr.final_state.t < 1.0
 
 
+@pytest.mark.parametrize("model", [WAVE_MAP, ModelSpec(Kind.SKYRME_APPROX, alpha=1.0), FREE],
+                         ids=lambda m: m.kind.value)
+def test_hard_stop_on_huge_data(model):
+    # 1e70 data: the wave map's first step overflows v to inf, the other two
+    # stay finite above HARD_SUP; either way the run stops after one step
+    g = RadialGrid(8.0, 256)
+    dt = 0.5 * g.dr
+    st = gaussian_state(g, model, amplitude=1e70)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = integrate(st, dt, 1.0)
+    assert tr.blew_up
+    assert len(tr.rows) == 2
+    last = tr.rows[-1]
+    assert (last.t, last.blowup_flag) == (dt, 1)
+    assert all(math.isnan(getattr(last, name)) for name in
+               ("total_energy", "sup_abs_u", "sup_abs_u_r", "lightcone_energy", "deficit"))
+    assert tr.final_state.t == dt
+
+
+def test_integrate_rejects_bad_dt():
+    st = gaussian_state(RadialGrid(10.0, 64), FREE)
+    for dt in (0.0, -0.01, math.nan):
+        with pytest.raises(ConfigError):
+            integrate(st, dt, 1.0)
+
+
 def test_trace_rows_carry_no_instance_dict():
     trace = DiagnosticsTrace(rows=[TraceRow(t, 1.0, 0.1, 0.2, math.nan, math.nan, 0)
                                    for t in (0.0, 0.5)])
@@ -229,14 +254,22 @@ def test_trace_rows_carry_no_instance_dict():
 
 
 def test_blowup_verdict_uses_the_given_threshold():
-    rows = [TraceRow(t, 1.0, 0.1, g, math.nan, math.nan, 0)
-            for t, g in zip((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 5.0, 20.0, 80.0, 200.0))]
-    trace = DiagnosticsTrace(rows=rows)
-    quiet = detect_blowup(trace, growth_threshold=1000.0)
-    assert quiet.growth_factor == 200.0
-    assert not quiet.detected
-    assert quiet.t_star_estimate == math.inf
-    assert detect_blowup(trace).detected  # the default threshold is 100
+    # integrate trips on the threshold it is given; detect_blowup measures the
+    # growth either way but fits t* only on a trace the run flagged
+    g = RadialGrid(4.0, 256)
+    v0, vt0 = turok_spergel_collapse_data(1.0, g.nodes)
+    st = FieldState(0.0, v0, vt0, g, WAVE_MAP)
+    quiet = integrate(st, 0.5 * g.dr, 0.9, cadence=4, growth_threshold=1e300)
+    rep = detect_blowup(quiet)
+    assert not quiet.blew_up and rep.growth_factor > 2.0
+    assert rep.t_star_estimate == math.inf
+    tripped = integrate(st, 0.5 * g.dr, 0.9, cadence=4,
+                        growth_threshold=rep.growth_factor / 2.0)
+    assert tripped.blew_up and tripped.rows[-1].blowup_flag == 1
+    assert len(tripped.rows) < len(quiet.rows)
+    tripped_rep = detect_blowup(tripped)
+    assert rep.growth_factor / 2.0 < tripped_rep.growth_factor <= rep.growth_factor
+    assert math.isfinite(tripped_rep.t_star_estimate)
 
 
 def test_deficit_column_tracks_free_twin():
