@@ -176,51 +176,56 @@ def parse_config(text, name=None):
         if Kind(cfg.model) in ALPHA_KINDS:
             if cfg.alpha is None:
                 problems.append((where("run", "model"), f"model {cfg.model!r} requires alpha"))
-            elif cfg.alpha <= 0:
+            elif not cfg.alpha > 0:
                 problems.append((where("run", "alpha"), "alpha must be positive"))
         elif cfg.alpha is not None:
             problems.append((where("run", "alpha"), f"model {cfg.model!r} takes no alpha"))
-    if cfg.R <= 0:
+    if not cfg.R > 0:
         problems.append((where("run", "R"), "R must be positive"))
     if cfg.N < 8 or cfg.N % 8 != 0:
         problems.append((where("run", "N"), "N must be a multiple of 8, at least 8"))
     if not 0.0 < cfg.cfl <= 0.9:
         problems.append((where("run", "cfl"), f"cfl must lie in (0, 0.9], got {cfg.cfl}"))
-    if cfg.dt is not None and cfg.dt <= 0:
+    if cfg.dt is not None and not cfg.dt > 0:
         problems.append((where("run", "dt"), "dt must be positive"))
     if cfg.dt is not None and ("run", "cfl") in key_lines:
         problems.append((where("run", "dt"), "give either dt or cfl, not both"))
-    if cfg.T < 0:
+    if not cfg.T >= 0:
         problems.append((where("run", "T"), "T must be >= 0"))
+    for key in ("R", "dt", "T"):
+        if getattr(cfg, key) == math.inf:  # NaN and -inf fail the checks above
+            problems.append((where("run", key), f"{key} must be finite"))
     if cfg.boundary not in BOUNDARIES:
         problems.append((where("run", "boundary"),
                          f"boundary must be one of {BOUNDARIES}, got {cfg.boundary!r}"))
-    if cfg.cadence < 0:
+    if not cfg.cadence >= 0:
         problems.append((where("run", "cadence"), "cadence must be >= 0"))
-    if cfg.sup_window is not None and cfg.sup_window <= 0:
+    if cfg.lightcone_t0 is not None and not math.isfinite(cfg.lightcone_t0):
+        problems.append((where("run", "lightcone_t0"), "lightcone_t0 must be finite"))
+    if cfg.sup_window is not None and not cfg.sup_window > 0:
         problems.append((where("run", "sup_window"), "sup_window must be positive"))
-    if cfg.growth_threshold <= 1:
+    if not cfg.growth_threshold > 1:
         problems.append((where("run", "growth_threshold"), "growth_threshold must exceed 1"))
     if cfg.data.family not in DATA_FAMILIES:
         problems.append((where("data", "family"),
                          f"family must be one of {DATA_FAMILIES}, got {cfg.data.family!r}"))
     elif cfg.data.family == "gaussian":
-        if cfg.data.width <= 0:
+        if not cfg.data.width > 0:
             problems.append((where("data", "width"), "width must be positive"))
     elif cfg.data.family == "turok-spergel":
-        if cfg.data.snapshot_time <= 0:
+        if not cfg.data.snapshot_time > 0:
             problems.append((where("data", "snapshot_time"), "snapshot_time must be positive"))
     elif cfg.data.family == "free-wave":
-        if cfg.data.width <= 0:
+        if not cfg.data.width > 0:
             problems.append((where("data", "width"), "width must be positive"))
     elif cfg.data.family == "file" and not cfg.data.path:
         problems.append((where("data", "family"), "family 'file' requires a path"))
     for key in ("energy_drift_max", "growth_min", "growth_max",
                 "profile_fit_max", "sup_u_max"):
         bound = getattr(cfg.expect, key)
-        if bound is not None and bound <= 0:
+        if bound is not None and not bound > 0:
             problems.append((where("expect", key), f"{key} must be positive"))
-    if cfg.expect.t_star_tol <= 0:
+    if not cfg.expect.t_star_tol > 0:
         problems.append((where("expect", "t_star_tol"), "t_star_tol must be positive"))
     if problems:
         raise ConfigError(sorted(problems, key=lambda p: (p[0] is None, p[0] or 0)))

@@ -14,6 +14,7 @@ one-sided/biased 4th-order closures.  The operators hold the integer stencil
 numerators and depend on no grid; the one division by 12 dr^k comes after
 the product, which keeps constants differentiating to an exact zero.
 """
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,10 +90,12 @@ class RadialGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 8:
+        if not self.N >= 8:
             raise ConfigError(f"need N >= 8 interior cells, got {self.N}")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ConfigError(f"outer radius must be positive, got {self.R}")
+        if not math.isfinite(self.R):
+            raise ConfigError(f"outer radius must be finite, got {self.R}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.R, self.N + 1))
 
     @property

@@ -21,12 +21,13 @@ on Gauss panels, with a Gauss-Jacobi rule absorbing the fractional power on
 to an exact partition of unity; the ell^2 frequency-side Besov route therefore
 reproduces the Sobolev norm up to the reported band-truncation term.
 
-On the uniform grids every kernel argument is x = pi i c / N, with i and c
-in 0..N.  Both transforms split that matrix at c0 = ceil(sqrt(2N/pi)): the
-rows and the columns up to c0, about 2 c0 N entries, are evaluated directly
-and cached per grid; on the rest x > 2, and the closed form is a sine sum
-(plus a cosine sum in dim 5), one DST-I (and one DCT-I) by FFT of length 2N.
-A transform thus evaluates about 2 c0 N kernel entries instead of N^2.  The
+On the uniform grids every kernel argument is x = pi i c / N, i and c in
+0..N, whatever R is, and the matrix is symmetric.  Both transforms split it
+at c0 = ceil(sqrt(2N/pi)): its first c0 + 1 rows, which are also its first
+c0 + 1 columns, are evaluated directly, once per dimension and N for both
+directions and every R.  On the rest x > 2, and the closed form is a sine
+sum (plus a cosine sum in dim 5), one DST-I (and one DCT-I) by FFT of size 2N.
+A new N costs (c0 + 1)(N + 1) kernel entries, not N^2; a new R none.  The
 dim-5 kernel takes the closed form on every entry it evaluates and runs its
 series only where |x| < 0.5, the entries whose cancellation it avoids.
 Off-lattice arguments (Gauss panels, the resampling in scale) still meet
@@ -54,8 +55,6 @@ from .grid import FieldSamples, Parity, RadialGrid, d_r
 
 SPHERE_AREA = {3: 4.0 * math.pi, 5: 8.0 * math.pi**2 / 3.0}
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
-_KERNEL_CACHE_CAP = 2**24  # entries; ~134 MB of float64
-_KERNEL_CACHE = {}
 _DECAY_FRACTION = 1e-10
 
 
@@ -115,31 +114,6 @@ def _kernel(dim, x):
     return out
 
 
-def _kernel_matvec(dim, rho, r, vec):
-    """K @ vec with K[j,i] = kernel(rho_j * r_i), cached or row-chunked.
-
-    It serves the near blocks of _lattice_matvec, which repeat on every
-    transform of a grid; off-lattice rows go through _factored_matvec and
-    stay out of the cache.
-    """
-    m, n = len(rho), len(r)
-    if m * n <= _KERNEL_CACHE_CAP:
-        key = (dim, n, m, float(r[-1]), float(rho[0]), float(rho[-1]))
-        mat = _KERNEL_CACHE.get(key)
-        if mat is None:
-            mat = _kernel(dim, np.outer(rho, r))
-            if len(_KERNEL_CACHE) > 8:
-                _KERNEL_CACHE.clear()
-            _KERNEL_CACHE[key] = mat
-        return mat @ vec
-    out = np.empty(m)
-    chunk = max(_KERNEL_CACHE_CAP // n, 1)
-    for j0 in range(0, m, chunk):
-        j1 = min(j0 + chunk, m)
-        out[j0:j1] = _kernel(dim, np.outer(rho[j0:j1], r)) @ vec
-    return out
-
-
 def _trapezoid_weights(n):
     w = np.ones(n)
     w[0] = w[-1] = 0.5
@@ -181,21 +155,37 @@ def _dct1(w):
     return 0.5 * (np.fft.rfft(even).real + w[0] + sign * w[n])
 
 
-def _lattice_matvec(dim, rows, cols, vec):
-    """K @ vec with K[i,c] = kernel(rows[i] * cols[c]) on the lattice x = pi i c / N.
+@functools.lru_cache(maxsize=4)
+def _near_block(dim, n):
+    """Read-only B[i, c] = kernel(pi i c / n) for i <= c0 = ceil(sqrt(2n/pi)), c = 0..n.
 
-    rows and cols are the N + 1 frequencies k pi / R and the N + 1 nodes j R / N,
-    either way round.  Rows i <= c0 = ceil(sqrt(2N/pi)), and columns c <= c0 of
-    the other rows, go through the cached direct kernel.  Everywhere else
-    x > pi (c0 + 1)^2 / N > 2, so the closed form has no cancellation to dodge
-    and its sums over c are one DST-I (and in dim 5 one DCT-I), scaled by
-    powers of N / (pi i) afterwards.
+    The directly evaluated entries of every lattice transform with n cells,
+    forward and inverse, at every R.  It holds 8 (c0 + 1)(n + 1) bytes:
+    13.6 MB at n = 16384.
+    """
+    c0 = math.ceil(math.sqrt(2.0 * n / math.pi))
+    block = _kernel(dim, (math.pi / n) * np.outer(np.arange(c0 + 1.0), np.arange(n + 1.0)))
+    block.flags.writeable = False
+    return block
+
+
+def _lattice_matvec(dim, vec):
+    """K @ vec with K[i, c] = kernel(pi i c / N) for i, c = 0..N, N = len(vec) - 1.
+
+    K serves both directions at every R: the forward transform pairs the
+    frequencies i pi / R with the nodes c R / N, the inverse the nodes i R / N
+    with the frequencies c pi / R, and K is symmetric.  Its rows i <= c0 and,
+    by symmetry, its columns c <= c0 of the other rows come from the shared
+    _near_block.  Everywhere else x > pi (c0 + 1)^2 / N > 2, so the closed
+    form has no cancellation to dodge and its sums over c are one DST-I (and
+    in dim 5 one DCT-I), scaled by powers of N / (pi i) afterwards.
     """
     n = len(vec) - 1
-    c0 = math.ceil(math.sqrt(2.0 * n / math.pi))  # < n, as RadialGrid has N >= 8
+    near = _near_block(dim, n)
+    c0 = len(near) - 1  # < n, as RadialGrid has N >= 8
     out = np.empty(n + 1)
-    out[:c0 + 1] = _kernel_matvec(dim, rows[:c0 + 1], cols, vec)
-    out[c0 + 1:] = _kernel_matvec(dim, rows[c0 + 1:], cols[:c0 + 1], vec[:c0 + 1])
+    out[:c0 + 1] = near @ vec
+    out[c0 + 1:] = vec[:c0 + 1] @ near[:, c0 + 1:]
     k = np.arange(c0 + 1, n + 1, dtype=float)  # the far rows i, and the far columns c
     t = n / (math.pi * k)  # x = c / t[i]
     far = np.zeros(n + 1)
@@ -286,7 +276,7 @@ def radial_fourier(p, rho_max=None):
                       RuntimeWarning, stacklevel=2)
     lattice = _frequency_lattice(g)
     m = max(int(round(rho_max / lattice[1])), 0)
-    fhat = _lattice_matvec(p.dim, lattice, g.nodes, _forward_vector(p))[1:m + 1]
+    fhat = _lattice_matvec(p.dim, _forward_vector(p))[1:m + 1]
     return SpectralProfile(p.dim, lattice[1:m + 1], _SQRT_2_PI * fhat, g)
 
 
@@ -300,8 +290,7 @@ def inverse_radial_fourier(sp):
         raise ContractError("rho_nodes must be radial_fourier's frequencies for this grid")
     vec = np.zeros(g.N + 1)
     vec[1:m + 1] = _inverse_vector(sp)
-    return RadialProfile(_SQRT_2_PI * _lattice_matvec(sp.dim, g.nodes, lattice, vec),
-                         sp.grid, sp.dim)
+    return RadialProfile(_SQRT_2_PI * _lattice_matvec(sp.dim, vec), sp.grid, sp.dim)
 
 
 def lp_norm(p, p_exp):
@@ -349,8 +338,8 @@ def _spectral_moment(p, s, weight=None, lo=0.0, hi=None):
     Gauss-Legendre panels of doubling width converge spectrally.
     """
     beta = 2.0 * s + p.dim - 1.0
-    if beta <= -1.0:
-        raise DomainError(f"s={s} is below the integrability threshold -n/2")
+    if not -1.0 < beta < math.inf:
+        raise DomainError(f"s={s} must be finite and above the integrability threshold -n/2")
     if hi is None:
         hi = math.pi / p.grid.dr
 

@@ -61,6 +61,22 @@ def test_run_bad_config_exits_2(outroot, tmp_path, capsys):
     assert "line 2" in err and "line 3" in err
 
 
+@pytest.mark.parametrize("old,new", [
+    ("T = 0.5", "T = nan"),
+    ("T = 0.5", "T = inf"),
+    ("R = 10", "R = inf"),
+    ("[run]", "[run]\ngrowth_threshold = nan"),
+    ("[run]", "[run]\nsup_window = nan"),
+], ids=["T-nan", "T-inf", "R-inf", "growth_threshold-nan", "sup_window-nan"])
+def test_run_non_finite_config_exits_2(outroot, tmp_path, capsys, old, new):
+    text = TINY.replace(old, new, 1)
+    line = text.splitlines().index(new.splitlines()[-1]) + 1
+    rc = main(["run", write_cfg(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"configuration error: line {line}: " in err
+
+
 def test_run_missing_file_exits_3(outroot, capsys):
     rc = main(["run", "/no/such/place.cfg"])
     assert rc == 3
@@ -172,6 +188,16 @@ def test_norms_rejects_bad_exponents(outroot, tmp_path, capsys):
     snap = str(outroot / "tiny" / "final.snap")
     rc = main(["norms", snap, "--s", "1.0", "--p", "0.5"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_norms_rejects_non_finite_s(tmp_path, capsys, s):
+    g = RadialGrid(10.0, 16)
+    v = np.exp(-g.nodes**2)
+    snap = write_snapshot(tmp_path / "s.snap",
+                          FieldState(0.0, v, np.zeros_like(v), g, ModelSpec(Kind.WAVE_MAP)))
+    assert main(["norms", str(snap), "--s", s]) == 2
+    assert "domain error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old,new", [

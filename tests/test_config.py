@@ -101,6 +101,29 @@ def test_expect_section_parsed_and_validated():
         parse_config("[expect]\nblowup = maybe\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\nT = nan", "[run]\nT = inf", "[run]\nR = nan", "[run]\nR = inf",
+    "[run]\ndt = nan", "[run]\ndt = inf", "[run]\nlightcone_t0 = nan",
+    "[run]\nlightcone_t0 = inf", "[run]\nsup_window = nan", "[run]\ngrowth_threshold = nan",
+    "[run]\nmodel = skyrme\nalpha = nan", "[data]\nwidth = nan",
+    "[data]\nfamily = free-wave\nwidth = nan",
+    "[data]\nfamily = turok-spergel\nsnapshot_time = nan",
+    "[expect]\nenergy_drift_max = nan", "[expect]\ngrowth_min = nan",
+    "[expect]\ngrowth_max = nan", "[expect]\nprofile_fit_max = nan",
+    "[expect]\nsup_u_max = nan", "[expect]\nt_star_tol = nan",
+], ids=["T-nan", "T-inf", "R-nan", "R-inf", "dt-nan", "dt-inf", "lightcone_t0-nan",
+        "lightcone_t0-inf", "sup_window-nan", "growth_threshold-nan", "alpha-nan",
+        "gaussian-width-nan", "free-wave-width-nan", "snapshot_time-nan",
+        "energy_drift_max-nan", "growth_min-nan", "growth_max-nan", "profile_fit_max-nan",
+        "sup_u_max-nan", "t_star_tol-nan"])
+def test_non_finite_values_are_rejected_on_their_line(text):
+    key = text.rsplit("\n", 1)[1].split(" = ")[0]
+    with pytest.raises(ConfigError) as e:
+        parse_config(text + "\n")
+    assert [ln for ln, _ in e.value.errors] == [text.count("\n") + 1]
+    assert key in e.value.errors[0][1]
+
+
 def test_gaussian_data_symmetrized_off_axis():
     cfg = parse_config("[run]\nN = 64\nR = 10\n"
                        "[data]\nfamily = gaussian\namplitude = 0.4\ncenter = 2.0\n")

@@ -22,6 +22,12 @@ def test_grid_validation():
     assert g.dr == pytest.approx(10.0 / 64)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_grid_rejects_non_finite_radius(R):
+    with pytest.raises(ConfigError):
+        RadialGrid(R, 16)
+
+
 def test_odd_field_must_vanish_at_axis():
     with pytest.raises(ContractError):
         FieldSamples(np.ones(65), Parity.ODD)

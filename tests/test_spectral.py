@@ -162,8 +162,9 @@ def _transform_profiles(r, dr):
 def _direct_transforms(dim, rho, nodes, fwd, inv, rows=512):
     """K @ fwd and K.T @ inv for K[k, j] = kernel(rho_k * r_j), built row block by row block.
 
-    These are the sums _kernel_matvec forms entry by entry; the transpose serves
-    the inverse because rho_k * r_j and r_j * rho_k are the same float.
+    The reference for every transform: its kernel arguments are the products
+    rho_k * r_j themselves, and the transpose serves the inverse because
+    rho_k * r_j and r_j * rho_k are the same float.
     """
     out_f = np.empty((len(rho), fwd.shape[1]))
     out_i = np.zeros((len(nodes), inv.shape[1]))
@@ -216,12 +217,37 @@ def test_transform_builds_only_the_near_field(monkeypatch):
     p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
     entries = []
     kernel = spectral._kernel
-    monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+    spectral._near_block.cache_clear()
     monkeypatch.setattr(spectral, "_kernel",
                         lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
     radial_fourier(p)
     c0 = math.ceil(math.sqrt(2.0 * N / math.pi))
-    assert 0 < sum(entries) <= 2 * (c0 + 1) * (N + 1)  # the full matrix has N (N + 1)
+    assert 0 < sum(entries) <= (c0 + 1) * (N + 1)  # the full matrix has N (N + 1)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_lattice_transforms_share_one_near_block(dim, monkeypatch):
+    N = 4096
+    c0 = math.ceil(math.sqrt(2.0 * N / math.pi))
+    entries = []
+    kernel = spectral._kernel
+    spectral._near_block.cache_clear()
+    monkeypatch.setattr(spectral, "_kernel",
+                        lambda d, x: entries.append(np.size(x)) or kernel(d, x))
+
+    def round_trip(R):
+        g = RadialGrid(R, N)
+        inverse_radial_fourier(radial_fourier(RadialProfile(np.exp(-g.nodes**2 / 2.0), g, dim)))
+
+    round_trip(20.0)
+    round_trip(13.0)
+    # both directions on both grids: the entries kernel(pi i c / N), i <= c0, once
+    assert sum(entries) == (c0 + 1) * (N + 1)
+    round_trip(17.0)
+    assert sum(entries) == (c0 + 1) * (N + 1)  # a new R at a seen N evaluates none
+    block = spectral._near_block(dim, N)
+    assert block.shape == (c0 + 1, N + 1)
+    assert not block.flags.writeable
 
 
 def _norm_panels(g, dim, s=1.5):
@@ -290,13 +316,14 @@ def test_scale_builds_no_dense_kernel(monkeypatch):
     p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
     entries = []
     kernel = spectral._kernel
-    monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+    spectral._near_block.cache_clear()
     monkeypatch.setattr(spectral, "_kernel",
                         lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
     scale(p, 1.2, -1.0)
     assert 0 < sum(entries) <= (N + 1) * N // 8  # the dense resampling has (N + 1) N
     c0 = math.ceil(math.sqrt(2.0 * N / math.pi))
-    assert all(min(mat.shape) <= c0 + 1 for mat in spectral._KERNEL_CACHE.values())
+    assert spectral._near_block.cache_info().currsize == 1
+    assert spectral._near_block(5, N).shape == (c0 + 1, N + 1)
 
 
 @pytest.mark.parametrize("dim", [3, 5])
