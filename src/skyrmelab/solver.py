@@ -185,9 +185,11 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     """
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if T < 0:
+    if not T >= 0:
         raise ConfigError("T must be >= 0")
-    n_steps = max(int(math.ceil(T / dt - 1e-12)), 0) if T > 0 else 0
+    if T == math.inf:  # NaN fails the check above
+        raise ConfigError("T must be finite")
+    n_steps = max(math.ceil(T / dt - 1e-12), 1) if T > 0 else 0
     dt_actual = T / n_steps if n_steps else 0.0
     if cadence <= 0:
         cadence = max(1, n_steps // 256)

@@ -243,6 +243,21 @@ def test_integrate_rejects_bad_dt():
             integrate(st, dt, 1.0)
 
 
+def test_integrate_rejects_bad_T():
+    st = gaussian_state(RadialGrid(10.0, 64), FREE)
+    for T in (-0.5, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            integrate(st, 0.01, T)
+
+
+@pytest.mark.parametrize("dt,T", [(0.01, 1e-14), (1e13, 0.05)])
+def test_integrate_steps_to_any_positive_T(dt, T):
+    # T / dt below 1e-12 once rounded to zero steps: a trace ending at t = 0
+    trace = integrate(gaussian_state(RadialGrid(10.0, 64), FREE), dt, T)
+    assert [row.t for row in trace.rows] == [0.0, T]
+    assert trace.final_state.t == T
+
+
 def test_trace_rows_carry_no_instance_dict():
     trace = DiagnosticsTrace(rows=[TraceRow(t, 1.0, 0.1, 0.2, math.nan, math.nan, 0)
                                    for t in (0.0, 0.5)])

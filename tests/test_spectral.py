@@ -18,7 +18,7 @@ from skyrmelab.errors import ConfigError, ContractError, DomainError
 from skyrmelab.grid import RadialGrid, radial_integral
 from skyrmelab.spectral import (SPHERE_AREA, DyadicCutoff, RadialProfile,
                                 SpectralProfile, besov_norm, dyadic_band,
-                                dyadic_piece, inverse_radial_fourier,
+                                dyadic_piece, inverse_radial_fourier, lp_norm,
                                 norm_equivalence_band, norm_equivalence_check,
                                 radial_dyadic_sobolev_check, radial_fourier,
                                 scale, sobolev_norm)
@@ -62,8 +62,16 @@ def test_transform_validation():
     with pytest.raises(ContractError):
         RadialProfile(np.where(G16.nodes < 1, np.nan, 0.0), G16, dim=3)
     p = gauss_profile(5)
-    with pytest.raises(ConfigError):
-        radial_fourier(p, rho_max=10.0 * math.pi / G16.dr)
+    for rho_max in (10.0 * math.pi / G16.dr, math.nan):
+        with pytest.raises(ConfigError, match="exceeds the grid Nyquist limit"):
+            radial_fourier(p, rho_max=rho_max)
+
+
+def test_lp_norm_guard():
+    p = gauss_profile(5)
+    for p_exp in (0.5, math.nan):
+        with pytest.raises(DomainError, match="p must be >= 1"):
+            lp_norm(p, p_exp)
 
 
 def test_inverse_needs_the_forward_frequencies():
@@ -122,18 +130,25 @@ def test_dim5_kernel_bits_match_reference(x):
 
 def test_norms_evaluate_each_node_set_once(monkeypatch):
     sizes = []
+    prefixes = []
     fhat_at = spectral._fhat_at
+    moment_prefix = spectral._moment_prefix
     monkeypatch.setattr(spectral, "_fhat_at",
                         lambda p, rho: sizes.append(len(rho)) or fhat_at(p, rho))
+    monkeypatch.setattr(spectral, "_moment_prefix",
+                        lambda cols, vec: prefixes.append(len(cols)) or moment_prefix(cols, vec))
     p = gauss_profile(5)
     first = sobolev_norm(p, 1.5)
     built = len(sizes)
     assert built > 0
+    assert prefixes == [G16.N + 1]  # one prefix block serves every panel
     assert sobolev_norm(p, 1.5) == first
     assert len(sizes) == built  # the second call builds no kernel
     warm = besov_norm(p, 1.5, 2, 1)
     warm_builds = len(sizes) - built
+    assert prefixes == [G16.N + 1]  # nor does a second norm build a prefix block
     assert all(not y.flags.writeable for y in p._power.values())
+    assert all(not a.flags.writeable for a in p._moments)
 
     del sizes[:]
     assert sobolev_norm(gauss_profile(5), 1.5) == first
@@ -162,9 +177,9 @@ def _transform_profiles(r, dr):
 def _direct_transforms(dim, rho, nodes, fwd, inv, rows=512):
     """K @ fwd and K.T @ inv for K[k, j] = kernel(rho_k * r_j), built row block by row block.
 
-    The reference for every transform: its kernel arguments are the products
-    rho_k * r_j themselves, and the transpose serves the inverse because
-    rho_k * r_j and r_j * rho_k are the same float.
+    The reference for the lattice transforms: its kernel arguments are the
+    products rho_k * r_j themselves, and the transpose serves the inverse
+    because rho_k * r_j and r_j * rho_k are the same float.
     """
     out_f = np.empty((len(rho), fwd.shape[1]))
     out_i = np.zeros((len(nodes), inv.shape[1]))
@@ -177,6 +192,40 @@ def _direct_transforms(dim, rho, nodes, fwd, inv, rows=512):
         for col in range(inv.shape[1]):
             out_i[:, col] += inv[k0:k0 + rows, col] @ block
     return out_f, out_i
+
+
+def _long_double_kernel(dim, x):
+    """The kernel in long double: its closed form, and its Taylor series below x = 0.5."""
+    x = np.asarray(x, dtype=np.longdouble)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.sin(x) / x if dim == 3 else (np.sin(x) / x - np.cos(x)) / (x * x)
+    small = np.abs(x) < 0.5
+    x2 = x[small] ** 2
+    # (-x^2)^k / (2k + 1)! in dim 3; 2 (k + 1) (-x^2)^k / (2k + 3)! in dim 5
+    term = np.ones_like(x2) / (1 if dim == 3 else 6)
+    series = np.zeros_like(x2)
+    for k in range(16):
+        series += term if dim == 3 else 2 * (k + 1) * term
+        term *= -x2 / ((2 * k + dim - 1) * (2 * k + dim))
+    out[small] = series
+    return out
+
+
+def _long_double_transforms(dim, rows, cols, vecs, block=256):
+    """K @ vecs for K[j, i] = kernel(rows_j * cols_i), with the products, the kernel
+    and the sums in long double.
+
+    The reference for the off-lattice transforms.  A double-precision direct
+    sum is itself up to 1.5e-14 of the peak off the exact sum on these
+    profiles, more than the moments and the factored far field miss it by.
+    """
+    cols = cols.astype(np.longdouble)
+    vecs = vecs.astype(np.longdouble)
+    out = np.empty((len(rows), vecs.shape[1]), dtype=np.longdouble)
+    for j in range(0, len(rows), block):
+        x = np.outer(rows[j:j + block].astype(np.longdouble), cols)
+        out[j:j + block] = _long_double_kernel(dim, x) @ vecs
+    return out
 
 
 @pytest.mark.parametrize("N", [8, 64, 512, 999, 4096])
@@ -254,22 +303,39 @@ def _norm_panels(g, dim, s=1.5):
     """The Gauss-Jacobi head and the Gauss-Legendre panels of _spectral_moment."""
     x, _ = spectral._jacobi_rule(2.0 * s + dim - 1.0)
     xg, _ = spectral._legendre_rule(48)
-    edges = spectral._panel_edges(1.0, math.pi / g.dr)
-    return [x] + [0.5 * (a + b) + 0.5 * (b - a) * xg for a, b in zip(edges[:-1], edges[1:])]
+    hi = math.pi / g.dr
+    head = min(1.0, hi)
+    edges = spectral._panel_edges(head, hi)
+    return [head * x] + [0.5 * (a + b) + 0.5 * (b - a) * xg for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _check_panel_transforms(dim, g):
+    # the profiles at R = 20, stretched to the grid's radius
+    stretch = g.R / 20.0
+    rho = np.concatenate(_norm_panels(g, dim))
+    profiles = [RadialProfile(v, g, dim)
+                for v in _transform_profiles(g.nodes / stretch, g.dr / stretch)]
+    fwd = np.stack([spectral._forward_vector(p) for p in profiles], axis=1)
+    want = spectral._SQRT_2_PI * _long_double_transforms(dim, rho, g.nodes, fwd)
+    for col, p in enumerate(profiles):
+        peak = np.max(np.abs(want[:, col]))
+        with np.errstate(over="raise", invalid="raise"):
+            got = spectral._fhat_at(p, rho)
+        assert np.max(np.abs(got - want[:, col])) <= 1e-14 * peak
 
 
 @pytest.mark.parametrize("N", [8, 64, 999, 4096])
 @pytest.mark.parametrize("dim", [3, 5])
 def test_panel_transforms_match_the_direct_kernel(dim, N):
-    g = RadialGrid(20.0, N)
-    rho = np.concatenate(_norm_panels(g, dim))
-    profiles = [RadialProfile(v, g, dim) for v in _transform_profiles(g.nodes, g.dr)]
-    fwd = np.stack([spectral._forward_vector(p) for p in profiles], axis=1)
-    want, _ = _direct_transforms(dim, rho, g.nodes, fwd, np.zeros((len(rho), 0)))
-    want *= spectral._SQRT_2_PI
-    for col, p in enumerate(profiles):
-        peak = np.max(np.abs(want[:, col]))
-        assert np.max(np.abs(spectral._fhat_at(p, rho) - want[:, col])) <= 1e-14 * peak
+    _check_panel_transforms(dim, RadialGrid(20.0, N))
+
+
+@pytest.mark.parametrize("R", [1e4, 1e12])
+@pytest.mark.parametrize("dim", [3, 5])
+def test_panel_transforms_at_a_large_radius(dim, R):
+    # the moments scale the columns by R: unscaled, their 26th powers
+    # would overflow from R ~ 1e11 on
+    _check_panel_transforms(dim, RadialGrid(R, 64))
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 1.2, 2.0])
@@ -286,28 +352,28 @@ def test_scale_matches_the_direct_kernel(dim, lam):
             got = scale(p, lam, 0.75).values
         sp = radial_fourier(p)
         vec = spectral._inverse_vector(sp)
-        want, _ = _direct_transforms(dim, arg[inside], sp.rho_nodes, vec[:, None],
-                                     np.zeros((g.N, 0)))
+        want = _long_double_transforms(dim, arg[inside], sp.rho_nodes, vec[:, None])[:, 0]
         # a sum rounds on the scale of its terms: near the axis the ring's
-        # resampling cancels terms up to 70 times its peak, and there the
-        # direct sum itself is 1.6e-14 of the peak off its long-double value
+        # resampling cancels terms up to 70 times its peak
         terms = np.abs(spectral._kernel(dim, np.outer(arg[inside], sp.rho_nodes))) @ np.abs(vec)
         factor = lam**0.75 * spectral._SQRT_2_PI
         assert np.all(got[~inside] == 0.0)
-        assert np.max(np.abs(got[inside] - factor * want[:, 0])) <= 1e-14 * factor * np.max(terms)
+        assert np.max(np.abs(got[inside] - factor * want)) <= 1e-14 * factor * np.max(terms)
 
 
 def test_norms_build_no_dense_panel_kernel(monkeypatch):
     N = 16384
     g = RadialGrid(20.0, N)
     p = RadialProfile(np.exp(-g.nodes**2 / 2.0), g, 5)
-    entries = []
+    args = []
     kernel = spectral._kernel
-    monkeypatch.setattr(spectral, "_kernel",
-                        lambda dim, x: entries.append(np.size(x)) or kernel(dim, x))
+    monkeypatch.setattr(spectral, "_kernel", lambda dim, x: args.append(x) or kernel(dim, x))
     sobolev_norm(p, 1.5)
     besov_norm(p, 1.5, 2, 1)
-    assert 0 < sum(entries) <= 2 * 48 * (N + 1)  # one dense panel has 48 (N + 1)
+    # the x < 2 columns come from the moments; what is left, the x >= 2 rest
+    # of each row's first far block, is 56,827 entries (a dense panel has 48 (N + 1))
+    assert 0 < sum(np.size(x) for x in args) <= 71_000
+    assert all(np.min(x) >= 2.0 for x in args if np.size(x))
 
 
 def test_scale_builds_no_dense_kernel(monkeypatch):
@@ -526,6 +592,8 @@ def test_scale_guards():
         scale(p, 0.0, 1.0)
     with pytest.raises(DomainError):
         scale(p, -2.0, 1.0)
+    with pytest.raises(DomainError, match="scaling factor must be positive"):
+        scale(p, math.nan, 1.0)
 
 
 # ------------------------------------------------- R^3 <-> R^5 norm relation
