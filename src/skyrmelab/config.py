@@ -1,20 +1,21 @@
 """Run configuration: parsing, validation, and initial-data construction.
 
-Config files are plain key = value lines grouped under [run] and [data]
-sections, with # comments.  Parsing validates everything it can and raises a
-single ConfigError carrying every problem with its line number, so a bad file
-is fixed in one pass.  A minimal file (even empty) is valid: defaults fill in
-a small wave-map run with Gaussian data.
+Config files are plain key = value lines grouped under [run], [data] and
+[expect] sections, with # comments.  Every number must be finite.  Parsing
+validates everything it can and raises a single ConfigError carrying every
+problem with its line number, so a bad file is fixed in one pass.  A minimal
+file (even empty) is valid: defaults fill in a small wave-map run with
+Gaussian data.
 """
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
 from .grid import RadialGrid
-from .models import ALPHA_KINDS, Kind, ModelSpec
+from .models import Kind, ModelSpec
 from .solver import FieldState
 
 DATA_FAMILIES = ("gaussian", "turok-spergel", "free-wave", "file")
@@ -87,26 +88,19 @@ class RunConfig:
         return self.dt if self.dt is not None else self.cfl * self.grid.dr
 
     def echo(self):
-        out = ["[run]"]
-        for f in fields(self):
-            if f.name in ("data", "expect", "name"):
-                continue
-            value = getattr(self, f.name)
-            if value is not None and value != "":
-                out.append(f"{f.name} = {value}")
-        out.append("[data]")
-        out.append(f"family = {self.data.family}")
-        for key in ("amplitude", "width", "center", "snapshot_time", "path"):
-            value = getattr(self.data, key)
-            if value != "" and not (key == "snapshot_time" and self.data.family != "turok-spergel"):
-                out.append(f"{key} = {value}")
-        expected = list(self.expect.items())
-        if expected:
-            out.append("[expect]")
-            for key, value in expected:
-                out.append(f"{key} = {value}")
-            if self.expect.t_star is not None:
-                out.append(f"t_star_tol = {self.expect.t_star_tol}")
+        """The config as parser input: every key with a value, except the run's name
+        and the keys its data family or checks do not read."""
+        hidden = {"name"}
+        if self.data.family != "turok-spergel":
+            hidden.add("snapshot_time")
+        if self.expect.t_star is None:
+            hidden.add("t_star_tol")
+        out = []
+        for section, spec in (("run", self), ("data", self.data), ("expect", self.expect)):
+            lines = [f"{key} = {value}" for key in _PARSERS[section] if key not in hidden
+                     and (value := getattr(spec, key)) is not None and value != ""]
+            if lines:
+                out += [f"[{section}]", *lines]
         return "\n".join(out) + "\n"
 
 
@@ -119,24 +113,66 @@ def _parse_bool(s):
     raise ValueError(s)
 
 
+def parse_finite(s):
+    """float(s), refusing NaN and +-inf: every number read from a file must be finite."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
+
+
+_NOUNS = {parse_finite: "a finite number", int: "an integer", _parse_bool: "a boolean"}
+
+
 def _parsers(spec):
     """key -> parser for each field of a config dataclass; the nested sections are not keys."""
-    return {f.name: _parse_bool if f.type is bool else f.type
+    by_type = {float: parse_finite, bool: _parse_bool}
+    return {f.name: by_type.get(f.type, f.type)
             for f in fields(spec) if f.name not in ("data", "expect")}
 
 
 _PARSERS = {"run": _parsers(RunConfig), "data": _parsers(DataSpec),
             "expect": _parsers(ExpectSpec)}
 
+_POSITIVE = (lambda x: x > 0, "must be positive")
+_MODELS = tuple(kind.value for kind in Kind)
+
+# (section, key) -> (test, what the test demands) for each key whose value
+# alone can be out of range; alpha's rule is ModelSpec's
+_RULES = {
+    ("run", "model"): (_MODELS.__contains__, f"must be one of {_MODELS}"),
+    ("run", "R"): _POSITIVE,
+    ("run", "N"): (lambda n: n >= 8 and n % 8 == 0, "must be a multiple of 8, at least 8"),
+    ("run", "cfl"): (lambda x: 0.0 < x <= 0.9, "must lie in (0, 0.9]"),
+    ("run", "dt"): _POSITIVE,
+    ("run", "T"): (lambda x: x >= 0, "must be >= 0"),
+    ("run", "boundary"): (BOUNDARIES.__contains__, f"must be one of {BOUNDARIES}"),
+    ("run", "cadence"): (lambda n: n >= 0, "must be >= 0"),
+    ("run", "sup_window"): _POSITIVE,
+    ("run", "growth_threshold"): (lambda x: x > 1, "must exceed 1"),
+    ("data", "family"): (DATA_FAMILIES.__contains__, f"must be one of {DATA_FAMILIES}"),
+    ("data", "width"): _POSITIVE,
+    ("data", "snapshot_time"): _POSITIVE,
+    **{("expect", key): _POSITIVE for key in ("energy_drift_max", "growth_min", "growth_max",
+                                              "profile_fit_max", "sup_u_max", "t_star_tol")},
+}
+
 
 def parse_config(text, name=None):
-    """Parse and validate; raises ConfigError listing every problem found."""
+    """Parse and validate; raises ConfigError listing every problem found.
+
+    A value that does not parse or breaks its key's rule is one problem on
+    its own line and is not applied, so the checks that span keys (the
+    model's alpha, dt against cfl, a file family's path) see only accepted
+    values and do not report the same line again.
+    """
     cfg = RunConfig()
     if name:
         cfg.name = name
     problems = []
     section = "run"
     key_lines = {}
+    rejected = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,80 +189,34 @@ def parse_config(text, name=None):
         if section is None:
             continue
         key, _, value = (part.strip() for part in line.partition("="))
-        parsers = _PARSERS[section]
-        if key not in parsers:
+        parser = _PARSERS[section].get(key)
+        if parser is None:
             problems.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
         try:
-            parsed = parsers[key](value)
+            parsed = parser(value)
         except ValueError:
-            problems.append((lineno, f"cannot parse {key} = {value!r}"))
+            problems.append((lineno, f"{key} must be {_NOUNS[parser]}, got {value!r}"))
+            rejected.add((section, key))
+            continue
+        test, demand = _RULES.get((section, key), (None, None))
+        if test and not test(parsed):
+            problems.append((lineno, f"{key} {demand}, got {value!r}"))
+            rejected.add((section, key))
             continue
         key_lines[(section, key)] = lineno
         setattr(cfg if section == "run" else getattr(cfg, section), key, parsed)
 
-    def where(section, key):
-        return key_lines.get((section, key))
-
-    try:
-        Kind(cfg.model)
-    except ValueError:
-        problems.append((where("run", "model"), f"unknown model {cfg.model!r}"))
-    else:
-        if Kind(cfg.model) in ALPHA_KINDS:
-            if cfg.alpha is None:
-                problems.append((where("run", "model"), f"model {cfg.model!r} requires alpha"))
-            elif not cfg.alpha > 0:
-                problems.append((where("run", "alpha"), "alpha must be positive"))
-        elif cfg.alpha is not None:
-            problems.append((where("run", "alpha"), f"model {cfg.model!r} takes no alpha"))
-    if not cfg.R > 0:
-        problems.append((where("run", "R"), "R must be positive"))
-    if cfg.N < 8 or cfg.N % 8 != 0:
-        problems.append((where("run", "N"), "N must be a multiple of 8, at least 8"))
-    if not 0.0 < cfg.cfl <= 0.9:
-        problems.append((where("run", "cfl"), f"cfl must lie in (0, 0.9], got {cfg.cfl}"))
-    if cfg.dt is not None and not cfg.dt > 0:
-        problems.append((where("run", "dt"), "dt must be positive"))
-    if cfg.dt is not None and ("run", "cfl") in key_lines:
-        problems.append((where("run", "dt"), "give either dt or cfl, not both"))
-    if not cfg.T >= 0:
-        problems.append((where("run", "T"), "T must be >= 0"))
-    for key in ("R", "dt", "T"):
-        if getattr(cfg, key) == math.inf:  # NaN and -inf fail the checks above
-            problems.append((where("run", key), f"{key} must be finite"))
-    if cfg.boundary not in BOUNDARIES:
-        problems.append((where("run", "boundary"),
-                         f"boundary must be one of {BOUNDARIES}, got {cfg.boundary!r}"))
-    if not cfg.cadence >= 0:
-        problems.append((where("run", "cadence"), "cadence must be >= 0"))
-    if cfg.lightcone_t0 is not None and not math.isfinite(cfg.lightcone_t0):
-        problems.append((where("run", "lightcone_t0"), "lightcone_t0 must be finite"))
-    if cfg.sup_window is not None and not cfg.sup_window > 0:
-        problems.append((where("run", "sup_window"), "sup_window must be positive"))
-    if not cfg.growth_threshold > 1:
-        problems.append((where("run", "growth_threshold"), "growth_threshold must exceed 1"))
-    if cfg.data.family not in DATA_FAMILIES:
-        problems.append((where("data", "family"),
-                         f"family must be one of {DATA_FAMILIES}, got {cfg.data.family!r}"))
-    elif cfg.data.family == "gaussian":
-        if not cfg.data.width > 0:
-            problems.append((where("data", "width"), "width must be positive"))
-    elif cfg.data.family == "turok-spergel":
-        if not cfg.data.snapshot_time > 0:
-            problems.append((where("data", "snapshot_time"), "snapshot_time must be positive"))
-    elif cfg.data.family == "free-wave":
-        if not cfg.data.width > 0:
-            problems.append((where("data", "width"), "width must be positive"))
-    elif cfg.data.family == "file" and not cfg.data.path:
-        problems.append((where("data", "family"), "family 'file' requires a path"))
-    for key in ("energy_drift_max", "growth_min", "growth_max",
-                "profile_fit_max", "sup_u_max"):
-        bound = getattr(cfg.expect, key)
-        if bound is not None and not bound > 0:
-            problems.append((where("expect", key), f"{key} must be positive"))
-    if not cfg.expect.t_star_tol > 0:
-        problems.append((where("expect", "t_star_tol"), "t_star_tol must be positive"))
+    if not rejected & {("run", "model"), ("run", "alpha")}:
+        try:
+            cfg.model_spec
+        except DomainError as e:
+            key = "model" if cfg.alpha is None else "alpha"
+            problems.append((key_lines.get(("run", key)), str(e)))
+    if ("run", "dt") in key_lines and ("run", "cfl") in key_lines:
+        problems.append((key_lines[("run", "dt")], "give either dt or cfl, not both"))
+    if cfg.data.family == "file" and not cfg.data.path:
+        problems.append((key_lines.get(("data", "family")), "family 'file' requires a path"))
     if problems:
         raise ConfigError(sorted(problems, key=lambda p: (p[0] is None, p[0] or 0)))
     return cfg

@@ -178,14 +178,15 @@ def radial_integral(f, g, weight_power=0, warn_tail=True):
     values = np.asarray(f.values if isinstance(f, FieldSamples) else f, dtype=float)
     if values.shape != (g.N + 1,):
         raise ContractError(f"field has {values.shape} samples, grid wants {g.N + 1}")
-    peak = np.max(np.abs(values))
-    if warn_tail and peak > 0 and abs(values[-1]) > 1e-8 * peak:
-        warnings.warn("integrand has not decayed at r = R", RuntimeWarning, stacklevel=2)
-    y = values * g.nodes**weight_power if weight_power else values.copy()
-    return _simpson(y, g.dr)
+    if warn_tail:
+        peak = np.max(np.abs(values))
+        if peak > 0 and abs(values[-1]) > 1e-8 * peak:
+            warnings.warn("integrand has not decayed at r = R", RuntimeWarning, stacklevel=2)
+    return _simpson(values * g.nodes**weight_power if weight_power else values, g.dr)
 
 
 def _simpson(y, h):
+    """Composite Simpson rule on samples y with spacing h; reads y, never writes it."""
     n = y.size - 1
     if n < 3:
         return float(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))

@@ -48,6 +48,11 @@ ALPHA_KINDS = (Kind.SKYRME, Kind.SKYRME_APPROX)
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model and its Skyrme coupling: the one place the alpha rule lives.
+
+    The models in ALPHA_KINDS need a finite alpha > 0; the other four take
+    none, and giving them one is a DomainError rather than a silent no-op.
+    """
     kind: Kind
     alpha: float = None
 
@@ -55,6 +60,8 @@ class ModelSpec:
         if self.kind in ALPHA_KINDS:
             if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
                 raise DomainError(f"{self.kind.value} needs alpha > 0, got {self.alpha}")
+        elif self.alpha is not None:
+            raise DomainError(f"{self.kind.value} takes no alpha, got {self.alpha}")
 
 
 def _neg_nonlinearity(model, r, v, v_r, v_t):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import initial_state
+from .config import initial_state, parse_finite
 from .errors import ConfigError
 from .grid import RadialGrid, radial_integral
 from .models import Kind, ModelSpec
@@ -93,10 +93,10 @@ def read_snapshot(path):
         if key not in meta:
             raise ConfigError(f"{path}: snapshot header lacks {key}=")
     try:
-        t, N, R = float(meta["t"]), int(meta["N"]), float(meta["R"])
-        kind = Kind(meta["model"])
-        alpha = float(meta["alpha"]) if "alpha" in meta else None
-    except ValueError as e:
+        t, N, R = parse_finite(meta["t"]), int(meta["N"]), parse_finite(meta["R"])
+        alpha = parse_finite(meta["alpha"]) if "alpha" in meta else None
+        model = ModelSpec(Kind(meta["model"]), alpha=alpha)
+    except ValueError as e:  # DomainError from ModelSpec included
         raise ConfigError(f"{path}: bad snapshot header value ({e})") from e
     if len(body) != N + 1:
         raise ConfigError(f"{path}: expected {N + 1} rows, found {len(body)}")
@@ -110,7 +110,6 @@ def read_snapshot(path):
     grid = RadialGrid(R, N)
     if not np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-12 * R):
         raise ConfigError(f"{path}: radius column does not match a uniform grid on (0, {R}]")
-    model = ModelSpec(kind, alpha=alpha)
     return FieldState(t, table[:, 1].copy(), table[:, 2].copy(), grid, model)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import RadialGrid, even_d_r, even_derivatives, laplacian5_from, radial_integral
+from .grid import (RadialGrid, _simpson, even_d_r, even_derivatives, laplacian5_from,
+                   radial_integral)
 from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
 
 GROWTH_THRESHOLD = 100.0
@@ -158,13 +159,12 @@ def lightcone_energy(state, t0, v_r=None):
     k = min(int(math.floor(radius / g.dr)), g.N)
     if k < 8:
         return 0.0
-    sub = RadialGrid(g.nodes[k], k)
     if v_r is None:
         v_r = even_d_r(state.v, state.grid)
     cone = slice(k + 1)
     dens = energy_density_v(state.model, g.nodes[cone], state.v[cone], v_r[cone],
                             state.vt[cone])
-    return radial_integral(dens, sub, weight_power=0, warn_tail=False)
+    return _simpson(dens, g.nodes[k] / k)  # dr of the k-cell grid on [0, nodes[k]]
 
 
 def _deficit_norm(grid, dv, dvt):

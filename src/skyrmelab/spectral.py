@@ -548,7 +548,7 @@ def besov_norm(p, s, p_exp, q_exp, cutoff=None, band=None):
 
 
 def scale(p, lam, a):
-    """r -> lam^a p(r/lam), resampled onto the same grid.
+    """r -> lam^a p(r/lam), resampled onto the same grid; lam must be positive and finite.
 
     Resampling evaluates the band-limited interpolant (the inverse transform
     at the scaled arguments) rather than a local spline: spline error rides at
@@ -558,8 +558,8 @@ def scale(p, lam, a):
     land beyond the grid take the value zero, with a warning when the profile
     has not decayed by then.
     """
-    if not lam > 0:
-        raise DomainError("scaling factor must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"scaling factor must be positive and finite, got {lam}")
     g = p.grid
     if lam < 1 and not p.decay_certified:
         warnings.warn("contraction pushes unresolved tail mass off the grid",

@@ -38,6 +38,14 @@ def _artifact_dir(name):
     return output_root() / "verify-artifacts" / name
 
 
+def _shipped_scenarios(report_name, names):
+    """Run shipped scenarios; their [expect] checks, each prefixed with its scenario."""
+    started = time.perf_counter()
+    checks = [replace(c, name=f"{name}/{c.name}") for name in names
+              for c in run_scenario(load_scenario(name), outdir=_artifact_dir(name)).checks]
+    return _report(report_name, checks, started)
+
+
 # ---------------------------------------------------------------- criterion 1
 
 def shrinker_exactness():
@@ -137,28 +145,15 @@ def solver_convergence():
 
 def energy_conservation():
     """Small-data Skyrme and Adkins-Nappi runs conserve energy to 1e-6."""
-    started = time.perf_counter()
-    checks = []
-    for name in ("skyrme-small", "adkins-nappi-small"):
-        cfg = load_scenario(name)
-        rep = run_scenario(cfg, outdir=_artifact_dir(name))
-        for c in rep.checks:
-            checks.append(CheckResult(f"{name}/{c.name}", c.passed, c.value, c.tolerance))
-    return _report("energy-conservation", checks, started)
+    return _shipped_scenarios("energy-conservation", ("skyrme-small", "adkins-nappi-small"))
 
 
 # ---------------------------------------------------------------- criterion 6
 
 def blowup_vs_regularization():
     """Identical large data: wave map collapses, Skyrme flow stays regular."""
-    started = time.perf_counter()
-    checks = []
-    for name in ("wavemap-blowup", "skyrme-blowup-control"):
-        cfg = load_scenario(name)
-        rep = run_scenario(cfg, outdir=_artifact_dir(name))
-        for c in rep.checks:
-            checks.append(CheckResult(f"{name}/{c.name}", c.passed, c.value, c.tolerance))
-    return _report("blowup-vs-regularization", checks, started)
+    return _shipped_scenarios("blowup-vs-regularization",
+                              ("wavemap-blowup", "skyrme-blowup-control"))
 
 
 # ---------------------------------------------------------------- criterion 7

@@ -67,7 +67,10 @@ def test_run_bad_config_exits_2(outroot, tmp_path, capsys):
     ("R = 10", "R = inf"),
     ("[run]", "[run]\ngrowth_threshold = nan"),
     ("[run]", "[run]\nsup_window = nan"),
-], ids=["T-nan", "T-inf", "R-inf", "growth_threshold-nan", "sup_window-nan"])
+    ("amplitude = 0.3", "center = inf"),
+    ("energy_drift_max = 1e-2", "t_star = nan"),
+], ids=["T-nan", "T-inf", "R-inf", "growth_threshold-nan", "sup_window-nan", "center-inf",
+        "t_star-nan"])
 def test_run_non_finite_config_exits_2(outroot, tmp_path, capsys, old, new):
     text = TINY.replace(old, new, 1)
     line = text.splitlines().index(new.splitlines()[-1]) + 1
@@ -206,7 +209,11 @@ def test_norms_rejects_non_finite_s(tmp_path, capsys, s):
     ("t=0 ", "t=zero "),
     ("alpha=1.5", "alpha=one"),
     ("\n0.625 ", "\n0.625x "),
-], ids=["model", "N", "t", "alpha", "cell"])
+    ("t=0 ", "t=nan "),
+    ("t=0 ", "t=inf "),
+    ("alpha=1.5", "alpha=inf"),
+    ("model=skyrme", "model=wave-map"),
+], ids=["model", "N", "t", "alpha", "cell", "t-nan", "t-inf", "alpha-inf", "alpha-on-wave-map"])
 def test_norms_malformed_snapshot_exits_2(tmp_path, capsys, old, new):
     g = RadialGrid(10.0, 16)
     v = np.exp(-g.nodes**2)

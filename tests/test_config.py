@@ -1,13 +1,18 @@
 """Config parsing: defaults, validation, error accumulation, data builders."""
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from skyrmelab.config import DataSpec, RunConfig, initial_state, parse_config
+from skyrmelab.config import DataSpec, ExpectSpec, RunConfig, initial_state, parse_config
 from skyrmelab.errors import ConfigError
 from skyrmelab.exact import exact_free_wave_5d, GaussianProfile, turok_spergel_collapse_data
 from skyrmelab.models import Kind
+from skyrmelab.scenarios import load_scenario, scenario_names
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_empty_config_gets_defaults():
@@ -77,12 +82,12 @@ def test_dt_and_cfl_are_exclusive():
 
 
 def test_alpha_requirements():
-    with pytest.raises(ConfigError):
-        parse_config("[run]\nmodel = skyrme\n")  # needs alpha
-    with pytest.raises(ConfigError):
-        parse_config("[run]\nmodel = wave-map\nalpha = 1.0\n")  # takes none
-    with pytest.raises(ConfigError):
-        parse_config("[run]\nmodel = skyrme\nalpha = -1\n")
+    for text, line in (("[run]\nmodel = skyrme\n", 2),  # needs alpha: the model's line
+                       ("[run]\nmodel = wave-map\nalpha = 1.0\n", 3),  # takes none
+                       ("[run]\nmodel = skyrme\nalpha = -1\n", 3)):
+        with pytest.raises(ConfigError) as e:
+            parse_config(text)
+        assert [ln for ln, _ in e.value.errors] == [line]
     cfg = parse_config("[run]\nmodel = adkins-nappi\n")
     assert cfg.model_spec.kind is Kind.ADKINS_NAPPI
 
@@ -101,27 +106,31 @@ def test_expect_section_parsed_and_validated():
         parse_config("[expect]\nblowup = maybe\n")
 
 
-@pytest.mark.parametrize("text", [
-    "[run]\nT = nan", "[run]\nT = inf", "[run]\nR = nan", "[run]\nR = inf",
-    "[run]\ndt = nan", "[run]\ndt = inf", "[run]\nlightcone_t0 = nan",
-    "[run]\nlightcone_t0 = inf", "[run]\nsup_window = nan", "[run]\ngrowth_threshold = nan",
-    "[run]\nmodel = skyrme\nalpha = nan", "[data]\nwidth = nan",
-    "[data]\nfamily = free-wave\nwidth = nan",
-    "[data]\nfamily = turok-spergel\nsnapshot_time = nan",
-    "[expect]\nenergy_drift_max = nan", "[expect]\ngrowth_min = nan",
-    "[expect]\ngrowth_max = nan", "[expect]\nprofile_fit_max = nan",
-    "[expect]\nsup_u_max = nan", "[expect]\nt_star_tol = nan",
-], ids=["T-nan", "T-inf", "R-nan", "R-inf", "dt-nan", "dt-inf", "lightcone_t0-nan",
-        "lightcone_t0-inf", "sup_window-nan", "growth_threshold-nan", "alpha-nan",
-        "gaussian-width-nan", "free-wave-width-nan", "snapshot_time-nan",
-        "energy_drift_max-nan", "growth_min-nan", "growth_max-nan", "profile_fit_max-nan",
-        "sup_u_max-nan", "t_star_tol-nan"])
-def test_non_finite_values_are_rejected_on_their_line(text):
-    key = text.rsplit("\n", 1)[1].split(" = ")[0]
+# a key that needs a neighbour to be read at all gets it on the line before
+_CONTEXT = {"alpha": "model = skyrme\n", "snapshot_time": "family = turok-spergel\n"}
+
+
+def _non_finite_cases():
+    """NaN, inf and -inf for every float key of every section, so no new key can skip the rule."""
+    for section, spec in (("run", RunConfig), ("data", DataSpec), ("expect", ExpectSpec)):
+        for f in fields(spec):
+            if f.type is float:
+                for bad in ("nan", "inf", "-inf"):
+                    yield pytest.param(section, f.name, bad, id=f"{f.name}-{bad}")
+
+
+@pytest.mark.parametrize("section,key,bad", _non_finite_cases())
+def test_non_finite_values_are_rejected_on_their_line(section, key, bad):
+    text = f"[{section}]\n{_CONTEXT.get(key, '')}{key} = {bad}\n"
     with pytest.raises(ConfigError) as e:
-        parse_config(text + "\n")
-    assert [ln for ln, _ in e.value.errors] == [text.count("\n") + 1]
+        parse_config(text)
+    assert [ln for ln, _ in e.value.errors] == [text.count("\n")]
     assert key in e.value.errors[0][1]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_echo_of_shipped_scenarios_is_frozen(name):
+    assert load_scenario(name).echo() == (GOLDEN / f"{name}.echo").read_text()
 
 
 def test_gaussian_data_symmetrized_off_axis():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from skyrmelab.errors import DomainError
 from skyrmelab.exact import turok_spergel
 from skyrmelab.models import (
+    ALPHA_KINDS,
     Kind,
     ModelSpec,
     energy_density,
@@ -134,7 +135,12 @@ def test_alpha_validation():
         ModelSpec(Kind.SKYRME)
     with pytest.raises(DomainError):
         ModelSpec(Kind.SKYRME_APPROX, alpha=-2.0)
+    with pytest.raises(DomainError):
+        ModelSpec(Kind.SKYRME, alpha=math.inf)
     ModelSpec(Kind.WAVE_MAP)  # alpha not needed
+    for kind in set(Kind) - set(ALPHA_KINDS):
+        with pytest.raises(DomainError, match="takes no alpha"):
+            ModelSpec(kind, alpha=1.0)
 
 
 def test_energy_density_examples():

@@ -588,12 +588,9 @@ def test_sobolev_dilation_invariance_at_critical_exponent():
 
 def test_scale_guards():
     p = RadialProfile(BUMP64, G64, dim=3)
-    with pytest.raises(DomainError):
-        scale(p, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        scale(p, -2.0, 1.0)
-    with pytest.raises(DomainError, match="scaling factor must be positive"):
-        scale(p, math.nan, 1.0)
+    for lam in (0.0, -2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="scaling factor must be positive and finite"):
+            scale(p, lam, 1.0)
 
 
 # ------------------------------------------------- R^3 <-> R^5 norm relation
