@@ -116,12 +116,17 @@ def _non_finite_cases():
         for f in fields(spec):
             if f.type is float:
                 for bad in ("nan", "inf", "-inf"):
-                    yield pytest.param(section, f.name, bad, id=f"{f.name}-{bad}")
+                    yield pytest.param(section, f.name, bad, _CONTEXT.get(f.name, ""),
+                                       id=f"{f.name}-{bad}")
+    # width is read by both families that take it; the rule holds under each one named
+    for family in ("gaussian", "free-wave"):
+        yield pytest.param("data", "width", "nan", f"family = {family}\n",
+                           id=f"{family}-width-nan")
 
 
-@pytest.mark.parametrize("section,key,bad", _non_finite_cases())
-def test_non_finite_values_are_rejected_on_their_line(section, key, bad):
-    text = f"[{section}]\n{_CONTEXT.get(key, '')}{key} = {bad}\n"
+@pytest.mark.parametrize("section,key,bad,context", _non_finite_cases())
+def test_non_finite_values_are_rejected_on_their_line(section, key, bad, context):
+    text = f"[{section}]\n{context}{key} = {bad}\n"
     with pytest.raises(ConfigError) as e:
         parse_config(text)
     assert [ln for ln, _ in e.value.errors] == [text.count("\n")]
