@@ -199,12 +199,6 @@ _FD1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _FD2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 
-def default_u_samples():
-    lin = np.linspace(-100.0, 100.0, 100001)
-    tail = np.array([2.0**k for k in range(7, 21)])
-    return np.concatenate([lin, tail, -tail])
-
-
 @dataclass
 class CoeffBoundReport:
     cid: int
@@ -225,15 +219,14 @@ def _fd_derivative(cid, u, alpha, order):
     return acc / h**order
 
 
-def check_coeff_bounds(cid, alpha=1.0, u_samples=None):
+def check_coeff_bounds(cid, alpha=1.0):
     """Sampled suprema of <u>^k-weighted coefficient derivatives plus sign verdicts.
 
     The weights are the decay rates the coefficients are expected to satisfy;
     the returned suprema are empirical constants, finite on any sample set.
     """
-    if u_samples is None:
-        u_samples = default_u_samples()
-    u = np.asarray(u_samples, dtype=float)
+    tail = np.array([2.0**k for k in range(7, 21)])
+    u = np.concatenate([np.linspace(-100.0, 100.0, 100001), tail, -tail])
     bracket = np.sqrt(1.0 + u * u)
     weighted = {}
     for order, k in DECAY_WEIGHTS[cid].items():
@@ -253,7 +246,7 @@ class SinInequalityReport:
     analytic_bound: dict
 
 
-def check_sin_inequality(alpha, r_samples=None, u_samples=None):
+def check_sin_inequality(alpha):
     """Sampled ratios |sin u / r|^j / D for j in {0,1,2} against the analytic bounds.
 
     The single-variable maxima of x^j/(1+2 alpha^2 x^2) give the exact bounds
@@ -261,12 +254,8 @@ def check_sin_inequality(alpha, r_samples=None, u_samples=None):
     """
     if alpha <= 0 or not np.isfinite(alpha):
         raise DomainError("alpha must be positive")
-    if r_samples is None:
-        r_samples = np.logspace(-6, 3, 400)
-    if u_samples is None:
-        u_samples = np.linspace(-20.0, 20.0, 801)
-    r = np.asarray(r_samples, dtype=float)[:, None]
-    u = np.asarray(u_samples, dtype=float)[None, :]
+    r = np.logspace(-6, 3, 400)[:, None]
+    u = np.linspace(-20.0, 20.0, 801)[None, :]
     x = np.abs(np.sin(u) / r)
     denom = 1.0 + 2.0 * alpha * alpha * x * x
     sampled = {j: float(np.max(x**j / denom)) for j in (0, 1, 2)}

@@ -15,7 +15,6 @@ numerators and depend on no grid; the one division by 12 dr^k comes after
 the product, which keeps constants differentiating to an exact zero.
 """
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -169,19 +168,16 @@ def laplacian5(f, g):
     return FieldSamples(laplacian5_from(*even_derivatives(values, g), g), Parity.EVEN)
 
 
-def radial_integral(f, g, weight_power=0, warn_tail=True):
+def radial_integral(f, g, weight_power=0):
     """Composite Simpson value of the integral of f(r) r^p dr over [0, R].
 
-    Odd interval counts close with a 3/8 panel.  A non-decayed tail
-    (|f(R)| > 1e-8 max|f|) only triggers a warning; the value is still returned.
+    f is the array of samples on the N + 1 nodes.  Odd interval counts close
+    with a 3/8 panel.  A tail that has not decayed by r = R is integrated as
+    it stands: the value covers [0, R] only.
     """
-    values = np.asarray(f.values if isinstance(f, FieldSamples) else f, dtype=float)
+    values = np.asarray(f, dtype=float)
     if values.shape != (g.N + 1,):
         raise ContractError(f"field has {values.shape} samples, grid wants {g.N + 1}")
-    if warn_tail:
-        peak = np.max(np.abs(values))
-        if peak > 0 and abs(values[-1]) > 1e-8 * peak:
-            warnings.warn("integrand has not decayed at r = R", RuntimeWarning, stacklevel=2)
     return _simpson(values * g.nodes**weight_power if weight_power else values, g.dr)
 
 

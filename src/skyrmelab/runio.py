@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import initial_state, parse_finite
 from .errors import ConfigError
+from .exact import GaussianProfile, exact_free_wave_5d
 from .grid import RadialGrid, radial_integral
 from .models import Kind, ModelSpec
 from .solver import FieldState, detect_blowup, integrate
@@ -153,14 +154,11 @@ def _error_vs_exact(cfg, state):
     """L2(r^4 dr) distance to the exact free-wave solution; nan if unavailable."""
     if cfg.model != "free-wave-5d" or cfg.data.family != "free-wave":
         return math.nan
-    from .exact import GaussianProfile, exact_free_wave_5d
-
     prof = GaussianProfile(amplitude=cfg.data.amplitude, width=cfg.data.width,
                            center=cfg.data.center)
     exact = np.asarray(exact_free_wave_5d(prof, state.t, state.grid.nodes))
     diff = state.v - exact
-    return float(np.sqrt(radial_integral(diff * diff, state.grid, weight_power=4,
-                                         warn_tail=False)))
+    return float(np.sqrt(radial_integral(diff * diff, state.grid, weight_power=4)))
 
 
 def _evaluate_checks(cfg, trace, verdict):
@@ -236,7 +234,7 @@ def run_scenario(cfg, outdir=None):
         (outdir / "config.echo").write_text(cfg.echo())
     except OSError as e:
         raise IOError(f"cannot write run artifacts under {outdir}: {e}") from e
-    verdict = detect_blowup(trace, trace.final_state)
+    verdict = detect_blowup(trace)
     checks, drift = _evaluate_checks(cfg, trace, verdict)
     sup = trace.column("sup_abs_u")
     energy = trace.column("total_energy")

@@ -8,10 +8,7 @@ treats as globally regular.  Data measuring above the gate are outside the
 certified small-data regime and get no global-existence expectations.
 """
 import math
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .config import initial_state, parse_config
 from .errors import ConfigError
@@ -48,16 +45,13 @@ def data_size(cfg):
     """(besov, truncation, l2) of the configured initial position data over R^5.
 
     Slow decay at the grid edge only biases the measurement low, so the
-    gate comparison stays one-sided; the decay warning is suppressed here.
+    gate comparison stays one-sided.
     """
     state = initial_state(cfg)
     profile = RadialProfile(state.v, state.grid, dim=GATE_DIM)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = besov_norm(profile, GATE_S, GATE_P, GATE_Q)
-        l2 = math.sqrt(SPHERE_AREA[GATE_DIM]
-                       * radial_integral(state.v**2, state.grid, weight_power=4,
-                                         warn_tail=False))
+    result = besov_norm(profile, GATE_S, GATE_P, GATE_Q)
+    l2 = math.sqrt(SPHERE_AREA[GATE_DIM]
+                   * radial_integral(state.v**2, state.grid, weight_power=4))
     return float(result.value), float(result.truncation_bound), l2
 
 

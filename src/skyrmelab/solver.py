@@ -144,7 +144,7 @@ def total_energy(state, v_r=None):
     if v_r is None:
         v_r = even_d_r(state.v, state.grid)
     dens = energy_density_v(state.model, state.grid.nodes, state.v, v_r, state.vt)
-    return radial_integral(dens, state.grid, weight_power=0, warn_tail=False)
+    return radial_integral(dens, state.grid, weight_power=0)
 
 
 def lightcone_energy(state, t0, v_r=None):
@@ -157,7 +157,7 @@ def lightcone_energy(state, t0, v_r=None):
         return 0.0
     g = state.grid
     k = min(int(math.floor(radius / g.dr)), g.N)
-    if k < 8:
+    if k < 1:  # the cone holds no whole cell
         return 0.0
     if v_r is None:
         v_r = even_d_r(state.v, state.grid)
@@ -171,7 +171,7 @@ def _deficit_norm(grid, dv, dvt):
     """sqrt( integral of (dv_r^2 + dvt^2 + dv^2) r^4 dr ): the discrete energy proxy."""
     dv_r = even_d_r(dv, grid)
     dens = dv_r * dv_r + dvt * dvt + dv * dv
-    return math.sqrt(max(radial_integral(dens, grid, weight_power=4, warn_tail=False), 0.0))
+    return math.sqrt(max(radial_integral(dens, grid, weight_power=4), 0.0))
 
 
 def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
@@ -246,14 +246,15 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     return trace
 
 
-def detect_blowup(trace, state=None):
+def detect_blowup(trace):
     """Growth, collapse-time and profile diagnostics of a finished trace.
 
     The verdict is the run's: trace.blew_up, set by integrate.  growth is the
     largest sampled sup|u_r| over the first.  Only on a blown-up trace, t*
     comes from a straight-line fit of 1/sup|u_r| against t over the final
     decade of growth; the profile check rescales u(t_end, rho (t* - t_end))
-    and measures the relative L^2(rho <= 5) misfit against 2 arctan(rho).
+    of trace.final_state and measures the relative L^2(rho <= 5) misfit
+    against 2 arctan(rho).
     """
     rows = [row for row in trace.rows if math.isfinite(row.sup_abs_u_r)]
     if not rows:
@@ -271,7 +272,8 @@ def detect_blowup(trace, state=None):
             slope, intercept = np.polyfit(times[late], 1.0 / sup[late], 1)
             if slope < 0:
                 t_star = float(-intercept / slope)
-        if state is not None and math.isfinite(t_star) and t_star > state.t:
+        state = trace.final_state
+        if math.isfinite(t_star) and t_star > state.t:
             delta = t_star - state.t
             rho = np.linspace(0.0, 5.0, 501)
             u_resc = np.interp(rho * delta, state.grid.nodes, state.grid.nodes * state.v)
@@ -282,22 +284,22 @@ def detect_blowup(trace, state=None):
                         profile_fit_error=fit_error)
 
 
-def scattering_deficit(init, dt, T1, T2, boundary="pin"):
+def scattering_deficit(init, dt, T1, T2):
     """Distance at T2 between the nonlinear flow and the free flow handed off at T1."""
     if not T2 > T1 >= 0:
         raise ConfigError("need T2 > T1 >= 0")
     state = init.copy()
     if T1 > 0:
-        tr = integrate(state, dt, T1, boundary=boundary, cadence=10**9)
+        tr = integrate(state, dt, T1, cadence=10**9)
         if tr.blew_up:
             raise DomainError("blow-up before the handoff time")
         state = tr.final_state
     free = FieldState(state.t, state.v.copy(), state.vt.copy(), state.grid,
                       ModelSpec(Kind.FREE_WAVE_5D))
-    tr_nl = integrate(state, dt, T2 - T1, boundary=boundary, cadence=10**9)
+    tr_nl = integrate(state, dt, T2 - T1, cadence=10**9)
     if tr_nl.blew_up:
         raise DomainError("blow-up before the measurement time")
-    tr_free = integrate(free, dt, T2 - T1, boundary=boundary, cadence=10**9)
+    tr_free = integrate(free, dt, T2 - T1, cadence=10**9)
     a, b = tr_nl.final_state, tr_free.final_state
     value = _deficit_norm(init.grid, a.v - b.v, a.vt - b.vt)
     return ScatteringDeficit(T1=T1, T2=T2, deficit=value)
@@ -311,7 +313,7 @@ class ConvergenceReport:
     observed_order: float
 
 
-def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None, boundary="pin"):
+def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None):
     """Errors and observed order at time T over doubling resolutions.
 
     data_fn(grid) -> (v, vt) builds the initial data per grid; exact, if given,
@@ -329,7 +331,7 @@ def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None, bo
         g = RadialGrid(R, n)
         v0, vt0 = data_fn(g)
         st = FieldState(0.0, np.asarray(v0, float), np.asarray(vt0, float), g, model)
-        tr = integrate(st, cfl * g.dr, T, boundary=boundary, cadence=10**9)
+        tr = integrate(st, cfl * g.dr, T, cadence=10**9)
         if tr.blew_up:
             raise DomainError(f"blow-up during the N={n} run")
         finals.append(tr.final_state)
@@ -337,14 +339,14 @@ def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None, bo
     if exact is not None:
         for st in finals:
             diff = st.v - exact(st.grid, st.t)
-            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4, warn_tail=False)))
+            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4)))
         measured = res
     else:
         ref = finals[-1]
         for st in finals[:-1]:
             stride = ref.grid.N // st.grid.N
             diff = st.v - ref.v[::stride]
-            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4, warn_tail=False)))
+            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4)))
         measured = res[:-1]
     orders = [math.log2(a / b) if b > 0 else math.inf for a, b in zip(errors, errors[1:])]
     if len(errors) >= 2 and all(e > 0 for e in errors):

@@ -16,10 +16,11 @@ information content of the spatial samples.
 Norm quadratures never touch the uniform frequency grid: the transform can be
 evaluated at arbitrary rho, so moments int rho^(2s+n-1)|fhat|^2 are computed
 on Gauss panels, with a Gauss-Jacobi rule absorbing the fractional power on
-[0,1].  Dyadic pieces multiply fhat by a smooth cutoff chi supported in
-(1/2,2) built from a polynomial smoothstep, so the shifted cutoffs telescope
-to an exact partition of unity; the ell^2 frequency-side Besov route therefore
-reproduces the Sobolev norm up to the reported band-truncation term.
+[0,1].  Dyadic pieces multiply fhat by the one cutoff chi, supported in
+(1/2,2) and built from an order-7 polynomial smoothstep, so the shifted
+cutoffs telescope to an exact partition of unity; the ell^2 frequency-side
+Besov route therefore reproduces the Sobolev norm up to the reported
+band-truncation term.
 
 On the uniform grids every kernel argument is x = pi i c / N, i and c in
 0..N, whatever R is, and the matrix is symmetric.  Both transforms split it
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, roots_jacobi
 
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ContractError, DomainError
 from .grid import FieldSamples, Parity, RadialGrid, d_r
 
 SPHERE_AREA = {3: 4.0 * math.pi, 5: 8.0 * math.pi**2 / 3.0}
@@ -319,25 +320,22 @@ def _frequency_lattice(g):
     return (math.pi / g.R) * np.arange(g.N + 1)
 
 
-def radial_fourier(p, rho_max=None):
-    """Transform onto the uniform frequency grid (0, rho_max], spacing pi/R."""
+def radial_fourier(p):
+    """Transform onto the uniform frequency grid k pi/R, k = 1..N, up to Nyquist pi/dr.
+
+    A spectrum truncated to its first m frequencies is a prefix of this one,
+    SpectralProfile(dim, rho_nodes[:m], fhat[:m], grid), and inverts as such.
+    """
     g = p.grid
-    nyquist = math.pi / g.dr
-    if rho_max is None:
-        rho_max = nyquist
-    elif not rho_max <= nyquist * (1 + 1e-12):  # NaN fails too
-        raise ConfigError(f"rho_max={rho_max} exceeds the grid Nyquist limit {nyquist}")
     if not p.decay_certified:
         warnings.warn("profile tail is not negligible; transform accuracy degrades",
                       RuntimeWarning, stacklevel=2)
-    lattice = _frequency_lattice(g)
-    m = max(int(round(rho_max / lattice[1])), 0)
-    fhat = _lattice_matvec(p.dim, _forward_vector(p))[1:m + 1]
-    return SpectralProfile(p.dim, lattice[1:m + 1], _SQRT_2_PI * fhat, g)
+    fhat = _lattice_matvec(p.dim, _forward_vector(p))[1:]
+    return SpectralProfile(p.dim, _frequency_lattice(g)[1:], _SQRT_2_PI * fhat, g)
 
 
 def inverse_radial_fourier(sp):
-    """Back to the source grid; sp.rho_nodes must be radial_fourier's frequencies for it.
+    """Back to the source grid; sp.rho_nodes must be radial_fourier's frequencies, or a prefix.
 
     In dim 5 the weights rho^4 reach (pi N / R)^4, about 4e13 at N = 16384 and
     R = 20, so the forward transform's rounding noise where the true fhat has
@@ -437,39 +435,22 @@ def sobolev_norm(p, s):
     return math.sqrt(SPHERE_AREA[p.dim] * _spectral_moment(p, s))
 
 
-@dataclass(frozen=True)
-class DyadicCutoff:
-    """Smooth dyadic bump chi supported in (1/2, 2), telescoping to 1.
+def _phi(s):
+    # the descending order-7 smoothstep, 1 below s = 1 and 0 above s = 2, via
+    # the regularized incomplete beta, which is accurate at both endpoints;
+    # the polynomial form loses ~1e-11 near 1
+    return betainc(8, 8, np.clip(2.0 - s, 0.0, 1.0))
 
-    chi(s) = phi(s) - phi(2s) with phi a descending polynomial smoothstep of
-    the given order: the shifted copies chi(s/2^j) sum to exactly 1 because
-    every phi value cancels pairwise.
+
+def chi(s):
+    """Smooth dyadic bump supported in (1/2, 2), telescoping to 1.
+
+    chi(s) = phi(s) - phi(2s) with phi the descending order-7 polynomial
+    smoothstep: the shifted copies chi(s/2^j) sum to exactly 1 because every
+    phi value cancels pairwise.  Every dyadic piece and shell uses it.
     """
-    order: int = 7
-
-    def __post_init__(self):
-        if self.order < 4:
-            raise DomainError("cutoff smoothness order must be >= 4")
-
-    def phi(self, s):
-        # descending smoothstep via the regularized incomplete beta, which is
-        # accurate at both endpoints; the polynomial form loses ~1e-11 near 1
-        s = np.asarray(s, dtype=float)
-        k = self.order
-        return betainc(k + 1, k + 1, np.clip(2.0 - s, 0.0, 1.0))
-
-    def chi(self, s):
-        return self.phi(s) - self.phi(2.0 * np.asarray(s, dtype=float))
-
-    def partition_defect(self, s_min=1e-6, s_max=1e6, samples=4096):
-        """max |sum_j chi(s/2^j) - 1| over log-spaced s: floating-point dust only."""
-        s = np.geomspace(s_min, s_max, samples)
-        j_lo = math.floor(math.log2(s_min)) - 2
-        j_hi = math.ceil(math.log2(s_max)) + 2
-        total = np.zeros_like(s)
-        for j in range(j_lo, j_hi + 1):
-            total += self.chi(s / 2.0**j)
-        return float(np.max(np.abs(total - 1.0)))
+    s = np.asarray(s, dtype=float)
+    return _phi(s) - _phi(2.0 * s)
 
 
 def dyadic_band(grid):
@@ -479,15 +460,16 @@ def dyadic_band(grid):
     return tuple(2.0**j for j in range(j_lo, j_hi + 1))
 
 
-def dyadic_piece(p, lam, cutoff=None, spectrum=None):
-    """Littlewood-Paley piece: multiply the transform by chi(rho/lam) and invert."""
-    cutoff = cutoff or DyadicCutoff()
+def dyadic_piece(p, lam, spectrum=None):
+    """Littlewood-Paley piece: multiply the transform by chi(rho/lam) and invert.
+
+    spectrum, if given, is radial_fourier(p), shared by pieces of one profile.
+    """
     lo, hi = 2.0 * math.pi / p.grid.R, math.pi / p.grid.dr
     if not lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12):
         raise DomainError(f"lambda={lam} outside the resolvable band [{lo}, {hi}]")
     sp = spectrum if spectrum is not None else radial_fourier(p)
-    filtered = SpectralProfile(sp.dim, sp.rho_nodes, sp.fhat * cutoff.chi(sp.rho_nodes / lam),
-                               sp.grid)
+    filtered = SpectralProfile(sp.dim, sp.rho_nodes, sp.fhat * chi(sp.rho_nodes / lam), sp.grid)
     return inverse_radial_fourier(filtered)
 
 
@@ -502,18 +484,18 @@ class BesovResult:
         return self.value
 
 
-def _band_complement_weight(cutoff, band):
+def _band_complement_weight(band):
     def weight(rho):
         total = np.zeros_like(rho)
         for lam in band:
-            total += cutoff.chi(rho / lam)
+            total += chi(rho / lam)
         return np.clip(1.0 - total, 0.0, None)
 
     return weight
 
 
-def besov_norm(p, s, p_exp, q_exp, cutoff=None, band=None):
-    """Homogeneous Besov norm: ell^q over dyadic shells of weighted shell norms.
+def besov_norm(p, s, p_exp, q_exp):
+    """Homogeneous Besov norm: ell^q over the dyadic shells of dyadic_band(p.grid).
 
     For p=2 the shell norm is measured on the frequency side with the actual
     rho^s weight and a single chi factor per shell, so the q=2 sum telescopes
@@ -523,19 +505,18 @@ def besov_norm(p, s, p_exp, q_exp, cutoff=None, band=None):
     """
     if not (1 <= p_exp) or not (1 <= q_exp):
         raise DomainError("exponents must satisfy 1 <= p, q <= inf")
-    cutoff = cutoff or DyadicCutoff()
-    band = tuple(band) if band is not None else dyadic_band(p.grid)
+    band = dyadic_band(p.grid)
     area = SPHERE_AREA[p.dim]
     pieces = []
     if p_exp == 2:
         for lam in band:
-            mass = _spectral_moment(p, s, weight=lambda rho: cutoff.chi(rho / lam),
+            mass = _spectral_moment(p, s, weight=lambda rho: chi(rho / lam),
                                     lo=lam / 2.0, hi=min(2.0 * lam, math.pi / p.grid.dr))
             pieces.append(math.sqrt(area * max(mass, 0.0)))
     else:
         sp = radial_fourier(p)
         for lam in band:
-            piece = dyadic_piece(p, lam, cutoff, spectrum=sp)
+            piece = dyadic_piece(p, lam, spectrum=sp)
             pieces.append(lam**s * lp_norm(piece, p_exp))
     b = np.array(pieces)
     if q_exp == math.inf:
@@ -543,7 +524,7 @@ def besov_norm(p, s, p_exp, q_exp, cutoff=None, band=None):
     else:
         value = float(np.sum(b**q_exp) ** (1.0 / q_exp))
     trunc = math.sqrt(area * max(_spectral_moment(
-        p, s, weight=_band_complement_weight(cutoff, band)), 0.0))
+        p, s, weight=_band_complement_weight(band)), 0.0))
     return BesovResult(value=value, truncation_bound=trunc, band=band, pieces=tuple(pieces))
 
 
@@ -596,8 +577,11 @@ def norm_equivalence_check(u, s):
     return float(ratio)
 
 
-def equivalence_profile_family(grid):
-    """Shipped dim-3 profiles with linear axis vanishing, for the band survey."""
+def norm_equivalence_band(s, grid):
+    """(min, max) of norm_equivalence_check over ten dim-3 profiles on grid.
+
+    Each profile vanishes linearly at the axis, so u/r is regular there.
+    """
     r = grid.nodes
     shapes = [
         r * np.exp(-(r**2)),
@@ -611,15 +595,7 @@ def equivalence_profile_family(grid):
         r**3 * np.exp(-(r**2) / 2.0) / (1.0 + r**2),
         r * np.exp(-(r**2)) * np.cos(4.0 * r) ** 2,
     ]
-    return [RadialProfile(u, grid, 3) for u in shapes]
-
-
-def norm_equivalence_band(s, grid, profiles=None):
-    """(min, max) of the dim-5/dim-3 norm ratio over the profile family."""
-    profiles = profiles if profiles is not None else equivalence_profile_family(grid)
-    if len(profiles) < 10:
-        raise DomainError("the equivalence survey needs at least 10 profiles")
-    ratios = [norm_equivalence_check(u, s) for u in profiles]
+    ratios = [norm_equivalence_check(RadialProfile(u, grid, 3), s) for u in shapes]
     return float(min(ratios)), float(max(ratios))
 
 
@@ -637,7 +613,7 @@ class DyadicSobolevReport:
         return max(self.constants) / min(self.constants)
 
 
-def dyadic_check_family(grid):
+def _dyadic_check_family(grid):
     """Radial test functions with spectral mass spread over several octaves."""
     r = grid.nodes
     profiles = []
@@ -650,12 +626,11 @@ def dyadic_check_family(grid):
     return profiles
 
 
-def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp, grid=None,
-                                lambdas=(1.0, 2.0, 4.0, 8.0, 16.0),
-                                profiles=None, cutoff=None):
+def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp):
     """Sampled constants of the weighted dyadic estimate, per frequency shell.
 
-    For each shell projection S_lam of each test profile, forms
+    On RadialGrid(16, 512), for each shell projection S_lam, lam = 1, 2, 4,
+    8, 16, of each of the 20 profiles of _dyadic_check_family, forms
     || r^(alpha(1/p-1/q)) S_lam phi ||_q / (lam^((n-alpha)(1/p-1/q)) ||phi||_p)
     and keeps the per-lambda supremum over the family.  The estimate being
     scale-correct means these constants should not drift with lambda.
@@ -666,12 +641,9 @@ def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp, grid=None,
         raise DomainError("alpha must lie in [0, n-1]")
     if not 2 <= p_exp <= q_exp:
         raise DomainError("exponents must satisfy 2 <= p <= q")
-    grid = grid or RadialGrid(16.0, 512)
-    cutoff = cutoff or DyadicCutoff()
-    raw = profiles if profiles is not None else dyadic_check_family(grid)
-    if len(raw) < 20:
-        raise DomainError("the dyadic survey needs at least 20 profiles")
-    family = [RadialProfile(np.asarray(v, float), grid, n) for v in raw]
+    grid = RadialGrid(16.0, 512)
+    lambdas = (1.0, 2.0, 4.0, 8.0, 16.0)
+    family = [RadialProfile(v, grid, n) for v in _dyadic_check_family(grid)]
     gap = alpha * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
     rate = (n - alpha) * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
     r = grid.nodes
@@ -679,7 +651,7 @@ def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp, grid=None,
     for lam in lambdas:
         best = 0.0
         for prof in family:
-            piece = dyadic_piece(prof, lam, cutoff)
+            piece = dyadic_piece(prof, lam)
             weighted = RadialProfile(r**gap * piece.values, grid, n)
             lhs = lp_norm(weighted, q_exp)
             rhs = lam**rate * lp_norm(prof, p_exp)
@@ -687,5 +659,5 @@ def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp, grid=None,
                 best = max(best, lhs / rhs)
         constants.append(best)
     return DyadicSobolevReport(n=n, alpha=alpha, p_exp=p_exp, q_exp=q_exp,
-                               lambdas=tuple(lambdas), constants=tuple(constants))
+                               lambdas=lambdas, constants=tuple(constants))
 

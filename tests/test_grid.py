@@ -143,33 +143,26 @@ def test_laplacian5_rejects_odd():
 
 def test_radial_integral_exact_cubic():
     g = RadialGrid(1.0, 96)
-    f = even_field(g, lambda r: np.ones_like(r))
-    val = radial_integral(f, g, weight_power=2, warn_tail=False)
+    val = radial_integral(np.ones_like(g.nodes), g, weight_power=2)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
 def test_radial_integral_gaussian_oracle():
     g = RadialGrid(10.0, 4096)
-    val = radial_integral(even_field(g, lambda r: np.exp(-(r**2))), g, weight_power=2)
+    val = radial_integral(np.exp(-(g.nodes**2)), g, weight_power=2)
     assert val == pytest.approx(math.sqrt(math.pi) / 4, abs=1e-10)
 
 
 def test_radial_integral_zero():
     g = RadialGrid(3.0, 16)
-    assert radial_integral(even_field(g, np.zeros_like), g, weight_power=2) == 0.0
+    assert radial_integral(np.zeros_like(g.nodes), g, weight_power=2) == 0.0
 
 
 def test_radial_integral_odd_interval_count():
     # N = 9 intervals exercises the 3/8 closure; integrand r^3 is still exact
     g = RadialGrid(2.0, 9)
-    val = radial_integral(FieldSamples(g.nodes**3, Parity.ODD), g, warn_tail=False)
+    val = radial_integral(g.nodes**3, g)
     assert val == pytest.approx(2.0**4 / 4, rel=1e-13)
-
-
-def test_radial_integral_tail_warning():
-    g = RadialGrid(2.0, 16)
-    with pytest.warns(RuntimeWarning):
-        radial_integral(even_field(g, lambda r: np.ones_like(r)), g, weight_power=0)
 
 
 def test_refinement_order_integral():
@@ -178,6 +171,5 @@ def test_refinement_order_integral():
     errs = []
     for n in (16, 32, 64):
         g = RadialGrid(8.0, n)
-        f = even_field(g, lambda r: np.cos(r))
-        errs.append(abs(radial_integral(f, g, weight_power=2, warn_tail=False) - exact))
+        errs.append(abs(radial_integral(np.cos(g.nodes), g, weight_power=2) - exact))
     assert errs[0] / errs[1] >= 14 and errs[1] / errs[2] >= 14

@@ -6,7 +6,7 @@ import pytest
 
 from skyrmelab.errors import ConfigError
 from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
-from skyrmelab.grid import RadialGrid, even_d_r, radial_integral
+from skyrmelab.grid import RadialGrid, _simpson, even_d_r, radial_integral
 from skyrmelab.models import ALPHA_KINDS, Kind, ModelSpec, energy_density_v
 from skyrmelab.solver import (
     DiagnosticsTrace,
@@ -181,10 +181,21 @@ def test_lightcone_energy_equals_full_grid_density_sliced(kind, amplitude, N):
     k = int(math.floor(5.0 / g.dr))
     v_r = even_d_r(st.v, g)
     dens = energy_density_v(model, g.nodes, st.v, v_r, st.vt)
-    full = radial_integral(dens[:k + 1], RadialGrid(g.nodes[k], k), weight_power=0,
-                           warn_tail=False)
+    full = radial_integral(dens[:k + 1], RadialGrid(g.nodes[k], k), weight_power=0)
     assert lightcone_energy(st, 5.0) == full
     assert lightcone_energy(st, 5.0, v_r) == full
+
+@pytest.mark.parametrize("k", range(10))
+def test_lightcone_energy_down_to_one_cell(k):
+    # the cone keeps its energy until it holds no whole cell: k = 0 is empty
+    g = RadialGrid(8.0, 1024)
+    st = FieldState(0.0, np.exp(-(g.nodes**2)), np.zeros(g.N + 1), g, WAVE_MAP)
+    dens = energy_density_v(WAVE_MAP, g.nodes, st.v, even_d_r(st.v, g), st.vt)
+    want = _simpson(dens[:k + 1], g.nodes[k] / k) if k else 0.0
+    got = lightcone_energy(st, (k + 0.5) * g.dr)
+    assert got == want
+    assert (got > 0.0) == (k > 0)
+
 
 def test_blowup_detector_on_wave_map_collapse():
     g = RadialGrid(4.0, 2048)
@@ -193,7 +204,7 @@ def test_blowup_detector_on_wave_map_collapse():
     tr = integrate(st, 0.5 * g.dr, 0.99, cadence=16, sup_window=3.0)
     assert tr.blew_up
     assert tr.rows[-1].blowup_flag == 1
-    rep = detect_blowup(tr, tr.final_state)
+    rep = detect_blowup(tr)
     assert rep.growth_factor >= 100.0
     assert abs(rep.t_star_estimate - 1.0) < 0.01
     assert rep.profile_fit_error < 0.05
@@ -203,7 +214,7 @@ def test_no_blowup_report_on_quiet_run():
     st = gaussian_state(RadialGrid(12.0, 256), SKYRME1, amplitude=0.1)
     tr = integrate(st, 0.5 * st.grid.dr, 1.0, cadence=8)
     assert not tr.blew_up
-    rep = detect_blowup(tr, tr.final_state)
+    rep = detect_blowup(tr)
     assert rep.t_star_estimate == math.inf
 
 
@@ -294,6 +305,14 @@ def test_deficit_column_tracks_free_twin():
     assert deficits[0] == 0.0
     assert deficits[-1] > 0.0
     assert np.all(np.isfinite(deficits))
+
+
+def test_deficit_column_ends_on_the_scattering_deficit():
+    # a tracked run's last deficit is the handoff-at-0 scattering deficit
+    st = gaussian_state(RadialGrid(14.0, 256), ADKINS_NAPPI, amplitude=0.2)
+    dt = 0.5 * st.grid.dr
+    tr = integrate(st, dt, 2.0, cadence=50, track_deficit=True)
+    assert tr.rows[-1].deficit == scattering_deficit(st, dt, 0.0, 2.0).deficit
 
 
 def test_deficit_column_disabled_is_nan():

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from skyrmelab import spectral
-from skyrmelab.errors import ConfigError, ContractError, DomainError
+from skyrmelab.errors import ContractError, DomainError
 from skyrmelab.grid import RadialGrid, radial_integral
-from skyrmelab.spectral import (SPHERE_AREA, DyadicCutoff, RadialProfile,
-                                SpectralProfile, besov_norm, dyadic_band,
+from skyrmelab.spectral import (SPHERE_AREA, RadialProfile, SpectralProfile,
+                                besov_norm, chi, dyadic_band,
                                 dyadic_piece, inverse_radial_fourier, lp_norm,
                                 norm_equivalence_band, norm_equivalence_check,
                                 radial_dyadic_sobolev_check, radial_fourier,
@@ -50,7 +50,7 @@ def test_roundtrip_recovers_profile(dim):
 def test_plancherel(dim):
     p = gauss_profile(dim)
     phys = math.sqrt(SPHERE_AREA[dim]
-                     * radial_integral(p.values**2, p.grid, dim - 1, warn_tail=False))
+                     * radial_integral(p.values**2, p.grid, dim - 1))
     assert sobolev_norm(p, 0.0) == pytest.approx(phys, rel=1e-10)
 
 
@@ -61,10 +61,6 @@ def test_transform_validation():
         RadialProfile(GAUSS16[:-1], G16, dim=3)
     with pytest.raises(ContractError):
         RadialProfile(np.where(G16.nodes < 1, np.nan, 0.0), G16, dim=3)
-    p = gauss_profile(5)
-    for rho_max in (10.0 * math.pi / G16.dr, math.nan):
-        with pytest.raises(ConfigError, match="exceeds the grid Nyquist limit"):
-            radial_fourier(p, rho_max=rho_max)
 
 
 def test_lp_norm_guard():
@@ -87,9 +83,8 @@ def test_inverse_needs_the_forward_frequencies():
     for rho in bad:
         with pytest.raises(ContractError):
             inverse_radial_fourier(SpectralProfile(5, rho, np.ones_like(rho), G16))
-    short = radial_fourier(gauss_profile(5), rho_max=0.5 * math.pi / G16.dr)
-    assert np.array_equal(short.rho_nodes, sp.rho_nodes[:len(short.rho_nodes)])
-    inverse_radial_fourier(short)
+    m = G16.N // 2  # a truncated spectrum is a prefix of the lattice
+    inverse_radial_fourier(SpectralProfile(5, sp.rho_nodes[:m], sp.fhat[:m], G16))
 
 
 def test_undecayed_profile_warns():
@@ -234,11 +229,11 @@ def test_transforms_match_the_direct_kernel(dim, N):
     g = RadialGrid(20.0, N)
     rho = math.pi / g.R * np.arange(1, N + 1)
     profiles = [RadialProfile(v, g, dim) for v in _transform_profiles(g.nodes, g.dr)]
-    cut = 0.6 * math.pi / g.dr  # rho_max below Nyquist
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the spike is wide at N = 8
-        spectra = [radial_fourier(p) for p in profiles] + \
-                  [radial_fourier(p, rho_max=cut) for p in profiles]
+        spectra = [radial_fourier(p) for p in profiles]
+    cut = int(round(0.6 * N))  # truncated below Nyquist, as a prefix
+    spectra += [SpectralProfile(dim, sp.rho_nodes[:cut], sp.fhat[:cut], g) for sp in spectra]
     inv = np.zeros((N, len(spectra)))
     for col, sp in enumerate(spectra):
         inv[:len(sp.rho_nodes), col] = spectral._inverse_vector(sp)
@@ -248,7 +243,7 @@ def test_transforms_match_the_direct_kernel(dim, N):
     want_i *= spectral._SQRT_2_PI
     for col, sp in enumerate(spectra):
         m = len(sp.rho_nodes)
-        assert m == (N if col < len(profiles) else int(round(0.6 * N)))
+        assert m == (N if col < len(profiles) else cut)
         ref = want_f[:m, col % len(profiles)]
         peak = np.max(np.abs(ref))
         assert np.array_equal(sp.rho_nodes, rho[:m])
@@ -439,22 +434,20 @@ def test_zero_profile_norms_vanish():
 # ------------------------------------------------------------- dyadic cutoff
 
 def test_partition_telescopes_exactly():
-    cut = DyadicCutoff()
-    assert cut.partition_defect() <= 1e-12
+    # max |sum_j chi(s/2^j) - 1| over log-spaced s: floating-point dust only
+    s = np.geomspace(1e-6, 1e6, 4096)
+    total = np.zeros_like(s)
+    for j in range(math.floor(math.log2(1e-6)) - 2, math.ceil(math.log2(1e6)) + 3):
+        total += chi(s / 2.0**j)
+    assert np.max(np.abs(total - 1.0)) <= 1e-12
 
 
 def test_cutoff_support_and_range():
-    cut = DyadicCutoff()
     s = np.geomspace(1e-3, 1e3, 20_001)
-    chi = cut.chi(s)
-    assert np.all(chi >= 0.0) and np.all(chi <= 1.0)
-    assert np.all(chi[(s <= 0.5) | (s >= 2.0)] == 0.0)
-    assert cut.chi(1.0) == pytest.approx(1.0)
-
-
-def test_cutoff_order_guard():
-    with pytest.raises(DomainError):
-        DyadicCutoff(order=3)
+    c = chi(s)
+    assert np.all(c >= 0.0) and np.all(c <= 1.0)
+    assert np.all(c[(s <= 0.5) | (s >= 2.0)] == 0.0)
+    assert chi(1.0) == pytest.approx(1.0)
 
 
 def test_dyadic_band_is_dyadic_and_bounded():
@@ -475,25 +468,23 @@ def test_dyadic_piece_band_guard():
 def test_far_shells_are_orthogonal():
     p = gauss_profile(5)
     spec = radial_fourier(p)
-    cut = DyadicCutoff()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        a = dyadic_piece(p, 1.0, cutoff=cut, spectrum=spec).values
-        b = dyadic_piece(p, 4.0, cutoff=cut, spectrum=spec).values
-    ip = radial_integral(a * b, G16, 4, warn_tail=False)
-    na = radial_integral(a * a, G16, 4, warn_tail=False)
-    nb = radial_integral(b * b, G16, 4, warn_tail=False)
+        a = dyadic_piece(p, 1.0, spectrum=spec).values
+        b = dyadic_piece(p, 4.0, spectrum=spec).values
+    ip = radial_integral(a * b, G16, 4)
+    na = radial_integral(a * a, G16, 4)
+    nb = radial_integral(b * b, G16, 4)
     assert abs(ip) / math.sqrt(na * nb) <= 1e-10
 
 
 def test_shell_reconstruction_on_band_limited_profile():
     p = gauss_profile(5)
     sp = radial_fourier(p)
-    cut = DyadicCutoff()
     band = dyadic_band(G16)
     window = np.zeros_like(sp.rho_nodes)
     for lam in band[1:-1]:
-        window += cut.chi(sp.rho_nodes / lam)
+        window += chi(sp.rho_nodes / lam)
     limited = inverse_radial_fourier(SpectralProfile(5, sp.rho_nodes,
                                                      sp.fhat * window, G16))
     with warnings.catch_warnings():
@@ -501,9 +492,9 @@ def test_shell_reconstruction_on_band_limited_profile():
         spec = radial_fourier(limited)
         recon = np.zeros_like(limited.values)
         for lam in band:
-            recon += dyadic_piece(limited, lam, cutoff=cut, spectrum=spec).values
-    num = radial_integral((recon - limited.values) ** 2, G16, 4, warn_tail=False)
-    den = radial_integral(limited.values**2, G16, 4, warn_tail=False)
+            recon += dyadic_piece(limited, lam, spectrum=spec).values
+    num = radial_integral((recon - limited.values) ** 2, G16, 4)
+    den = radial_integral(limited.values**2, G16, 4)
     assert math.sqrt(num / den) <= 1e-6
 
 
@@ -618,13 +609,6 @@ def test_equivalence_check_guards():
         norm_equivalence_check(RadialProfile(u_even, g, dim=5), 1.0)
     with pytest.raises(DomainError):
         norm_equivalence_check(RadialProfile(u_even, g, dim=3), 1.0)
-
-
-def test_equivalence_band_needs_a_family():
-    g = RadialGrid(16.0, 512)
-    one = [RadialProfile(g.nodes * np.exp(-g.nodes**2), g, dim=3)]
-    with pytest.raises(DomainError):
-        norm_equivalence_band(1.0, g, profiles=one)
 
 
 # ------------------------------------------------ dyadic Sobolev sample suite
