@@ -196,7 +196,14 @@ def scattering_trend():
     for model in (ModelSpec(Kind.SKYRME, alpha=1.0), ModelSpec(Kind.ADKINS_NAPPI)):
         v0 = 0.2 * np.exp(-g.nodes**2)
         st = FieldState(0.0, v0, np.zeros_like(v0), g, model)
-        deficits = [scattering_deficit(st, dt, T1, T2).deficit for T1 in handoffs]
+        deficits = []
+        for T1 in handoffs:
+            if T1 > 0:  # 2.5/366, 5/732 and 7.5/1098 are one double: chaining keeps the bits
+                tr = integrate(st, dt, 2.5, cadence=10**9)
+                if tr.blew_up:
+                    raise DomainError("blow-up before the handoff time")
+                st = tr.final_state
+            deficits.append(scattering_deficit(st, dt, 0.0, T2 - T1).deficit)
         drops = np.diff(deficits)
         tag = model.kind.value
         checks.append(CheckResult(f"{tag}/deficit_5_below_0",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from skyrmelab import solver
 from skyrmelab.errors import ConfigError
 from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
 from skyrmelab.grid import RadialGrid, _simpson, even_d_r, radial_integral
@@ -12,6 +13,7 @@ from skyrmelab.solver import (
     DiagnosticsTrace,
     FieldState,
     TraceRow,
+    _deficit_norm,
     convergence_study,
     detect_blowup,
     integrate,
@@ -338,6 +340,65 @@ def test_scattering_deficit_validates_times():
     st = gaussian_state(RadialGrid(10.0, 64), FREE)
     with pytest.raises(ConfigError):
         scattering_deficit(st, 0.01, 3.0, 2.0)
+
+
+def _two_run_scattering_deficit(init, dt, T1, T2):
+    """Reference: run to T1, then step the nonlinear and the free flow apart and measure."""
+    state = init.copy()
+    if T1 > 0:
+        state = integrate(state, dt, T1, cadence=10**9).final_state
+    free = FieldState(state.t, state.v.copy(), state.vt.copy(), state.grid, FREE)
+    a = integrate(state, dt, T2 - T1, cadence=10**9).final_state
+    b = integrate(free, dt, T2 - T1, cadence=10**9).final_state
+    return _deficit_norm(init.grid, a.v - b.v, a.vt - b.vt)
+
+
+def test_scattering_deficit_equals_two_separate_runs(monkeypatch):
+    # the tracked twin gives the two-run value bit for bit, and the same
+    # n(T1) + 2 n(T2 - T1) steps (a free-wave state has no twin to step)
+    calls = []
+
+    def counted_step(*args, **kwargs):
+        calls.append(1)
+        return step_rk4(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_rk4", counted_step)
+    g = RadialGrid(12.0, 128)
+    dt = 0.5 * g.dr
+    T2 = 1.5
+
+    def n(T):
+        return math.ceil(T / dt - 1e-12) if T > 0 else 0
+
+    models = [WAVE_MAP, SKYRME1, ADKINS_NAPPI, ModelSpec(Kind.SKYRME_APPROX, alpha=0.9),
+              ModelSpec(Kind.ADKINS_NAPPI_APPROX), FREE]
+    for model in models:
+        st = gaussian_state(g, model, amplitude=0.2)
+        for T1 in (0.0, 0.5):
+            expected = _two_run_scattering_deficit(st, dt, T1, T2)
+            calls.clear()
+            got = scattering_deficit(st, dt, T1, T2)
+            assert (got.T1, got.T2, got.deficit) == (T1, T2, expected), (model.kind, T1)
+            twins = 1 if model is FREE else 2
+            assert len(calls) == n(T1) + twins * n(T2 - T1), (model.kind, T1)
+            assert (expected == 0.0) == (model is FREE)
+
+
+def test_chained_handoff_runs_equal_one_run():
+    # criterion 8 steps each handoff state on from the last: at its dt,
+    # 2.5/366 and 5/732 are one double and t sums the same increments
+    g = RadialGrid(4.0, 512)
+    dt = 0.5 * 28.0 / 2048
+    for model in (SKYRME1, ADKINS_NAPPI):
+        st = gaussian_state(g, model, amplitude=0.2)
+        one = integrate(st, dt, 5.0, cadence=10**9)
+        first = integrate(st, dt, 2.5, cadence=10**9)
+        second = integrate(first.final_state, dt, 2.5, cadence=10**9)
+        assert not (one.blew_up or first.blew_up or second.blew_up)
+        a, b = one.final_state, second.final_state
+        assert a.t == b.t
+        assert a.v.tobytes() == b.v.tobytes()
+        assert a.vt.tobytes() == b.vt.tobytes()
 
 
 def test_sup_window_masks_outer_junk():
