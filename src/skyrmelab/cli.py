@@ -11,11 +11,12 @@ Exit codes: 0 success, 1 a criterion/check failed, 2 bad configuration,
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import parse_config
+from .config import _PARSERS, parse_config
 from .errors import ConfigError, DomainError
-from .runio import output_root, read_snapshot, run_scenario
+from .runio import ScenarioReport, output_root, read_snapshot, run_scenario
 from .scenarios import scenario_names, scenario_path
 from .spectral import RadialProfile, besov_norm
 from .verify import SUITES, format_reports, run_suite
@@ -24,6 +25,12 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# sweep.csv columns in order; each that names a ScenarioReport field is read
+# from the row's report, which keeps the field's default when the row errs
+SWEEP_COLUMNS = ("axis", "value", "status", "blew_up", "final_sup_u", "final_energy",
+                 "energy_drift", "final_deficit", "deficit_ratio", "error_vs_exact",
+                 "observed_order", "checks_failed")
 
 
 def _load_config_text(target):
@@ -57,6 +64,8 @@ def _axis_values(spec):
     section, _, field = key.partition(".")
     if section not in ("run", "data"):
         raise ConfigError(f"axis section must be run or data, got {section!r}")
+    if field not in _PARSERS[section]:
+        raise ConfigError(f"unknown key {field!r} in section [{section}]")
     values = [v.strip() for v in raw.split(",") if v.strip()]
     if len(values) < 2:
         raise ConfigError("a sweep needs at least two axis values")
@@ -75,26 +84,23 @@ def _cmd_sweep(args):
     section, field, values = _axis_values(args.axis)
     axis = f"{section}.{field}"
     root = output_root() / f"{name}-sweep"
+    report_columns = [f.name for f in fields(ScenarioReport) if f.name in SWEEP_COLUMNS]
     rows = []
     for idx, value in enumerate(values):
-        row = {"axis": axis, "value": value, "status": "ok", "blew_up": False,
-               "final_sup_u": math.nan, "final_energy": math.nan,
-               "energy_drift": math.nan, "final_deficit": math.nan,
-               "error_vs_exact": math.nan, "checks_failed": 0}
+        rep = ScenarioReport(scenario=name, checks=[], runtime_s=0.0)
+        status = "ok"
         override = f"\n[{section}]\n{field} = {value}\n"
         try:
             cfg = parse_config(text + override, name=f"{name}-{idx}")
             rep = run_scenario(cfg, outdir=root / f"row-{idx}-{field}={value}")
-            row.update(blew_up=rep.blew_up, final_sup_u=rep.final_sup_u,
-                       final_energy=rep.final_energy, energy_drift=rep.energy_drift,
-                       final_deficit=rep.final_deficit,
-                       error_vs_exact=rep.error_vs_exact,
-                       checks_failed=sum(1 for c in rep.checks if not c.passed))
             if not rep.passed:
-                row["status"] = "check-failed"
+                status = "check-failed"
         except (ConfigError, DomainError) as e:
             # keep the CSV one-cell-per-field
-            row["status"] = "error: " + str(e).replace(",", ";").replace("\n", " ")
+            status = "error: " + str(e).replace(",", ";").replace("\n", " ")
+        row = {c: getattr(rep, c) for c in report_columns}
+        row.update(axis=axis, value=value, status=status,
+                   checks_failed=sum(1 for c in rep.checks if not c.passed))
         rows.append(row)
 
     # derived columns; nan wherever a neighbour is missing or failed
@@ -111,12 +117,9 @@ def _cmd_sweep(args):
                      / math.log(float(row["value"]) / float(prev["value"])))
         row["observed_order"] = order
 
-    columns = ("axis", "value", "status", "blew_up", "final_sup_u", "final_energy",
-               "energy_drift", "final_deficit", "deficit_ratio", "error_vs_exact",
-               "observed_order", "checks_failed")
-    lines = [",".join(columns)]
+    lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
+        lines.append(",".join(_fmt_cell(row[c]) for c in SWEEP_COLUMNS))
     root.mkdir(parents=True, exist_ok=True)
     out = root / "sweep.csv"
     out.write_text("\n".join(lines) + "\n")

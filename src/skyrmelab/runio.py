@@ -6,10 +6,10 @@ comes from SKYRMELAB_OUT when set, else the working directory; run_scenario
 nests per-run directories under it.
 """
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ TRACE_COLUMNS = ("t", "total_energy", "sup_abs_u", "sup_abs_u_r",
                  "lightcone_energy", "deficit", "blowup_flag")
 _FMT = "%.17g"
 _TRACE_ROW = ",".join([_FMT] * (len(TRACE_COLUMNS) - 1) + ["%d"]) + "\n"
-_trace_cells = attrgetter(*TRACE_COLUMNS)
+_trace_cells = operator.attrgetter(*TRACE_COLUMNS)
 
 
 def output_root():
@@ -161,49 +161,36 @@ def _error_vs_exact(cfg, state):
     return float(np.sqrt(radial_integral(diff * diff, state.grid, weight_power=4)))
 
 
-def _evaluate_checks(cfg, trace, verdict):
-    sup = trace.column("sup_abs_u")
-    energy = trace.column("total_energy")
-    finite = energy[np.isfinite(energy)]
-    drift = math.nan
-    if len(finite) >= 2 and abs(finite[0]) > 0:
-        drift = float(np.max(np.abs(finite - finite[0])) / abs(finite[0]))
+def _finite_le(value, bound):
+    return math.isfinite(value) and value <= bound
+
+
+# [expect] key -> (check name, measured quantity, comparison, tolerance text);
+# t_star, which also reads t_star_tol, is the one key _evaluate_checks writes out
+_EXPECT_CHECKS = {
+    "energy_drift_max": ("energy_drift", "energy_drift", operator.le, "<= {:g}"),
+    "blowup": ("blowup", "blew_up", operator.eq, "detector == {}"),
+    "growth_min": ("growth_min", "growth_factor", operator.ge, ">= {:g}"),
+    "growth_max": ("growth_max", "growth_factor", operator.le, "<= {:g}"),
+    "profile_fit_max": ("profile_fit", "profile_fit_error", _finite_le, "<= {:g}"),
+    "sup_u_max": ("sup_u", "peak_sup_u", operator.le, "<= {:g}"),
+}
+
+
+def _evaluate_checks(cfg, measured):
+    """One check per [expect] key, in section order; `completed` when there is none."""
     checks = []
-    expected = dict(cfg.expect.items())
-    if not expected:
-        checks.append(CheckResult("completed", not trace.blew_up,
-                                  float(sup[-1]) if len(sup) else math.nan,
-                                  "finite run to T"))
-    if "energy_drift_max" in expected:
-        bound = expected["energy_drift_max"]
-        checks.append(CheckResult("energy_drift", drift <= bound, drift, f"<= {bound:g}"))
-    if "blowup" in expected:
-        want = expected["blowup"]
-        checks.append(CheckResult("blowup", trace.blew_up == want,
-                                  float(trace.blew_up), f"detector == {want}"))
-    if "growth_min" in expected:
-        bound = expected["growth_min"]
-        checks.append(CheckResult("growth_min", verdict.growth_factor >= bound,
-                                  verdict.growth_factor, f">= {bound:g}"))
-    if "growth_max" in expected:
-        bound = expected["growth_max"]
-        checks.append(CheckResult("growth_max", verdict.growth_factor <= bound,
-                                  verdict.growth_factor, f"<= {bound:g}"))
-    if "profile_fit_max" in expected:
-        bound = expected["profile_fit_max"]
-        value = verdict.profile_fit_error
-        checks.append(CheckResult("profile_fit", math.isfinite(value) and value <= bound,
-                                  value, f"<= {bound:g}"))
-    if "sup_u_max" in expected:
-        bound = expected["sup_u_max"]
-        value = float(np.nanmax(sup)) if len(sup) else math.nan
-        checks.append(CheckResult("sup_u", value <= bound, value, f"<= {bound:g}"))
-    if "t_star" in expected:
-        target, tol = expected["t_star"], cfg.expect.t_star_tol
-        value = verdict.t_star_estimate
-        checks.append(CheckResult("t_star", math.isfinite(value) and abs(value - target) <= tol,
-                                  value, f"within {tol:g} of {target:g}"))
-    return checks, drift
+    for key, bound in cfg.expect.items():
+        if key == "t_star":
+            value, tol = measured["t_star_estimate"], cfg.expect.t_star_tol
+            checks.append(CheckResult("t_star", math.isfinite(value) and abs(value - bound) <= tol,
+                                      value, f"within {tol:g} of {bound:g}"))
+        else:
+            name, quantity, holds, text = _EXPECT_CHECKS[key]
+            value = measured[quantity]
+            checks.append(CheckResult(name, holds(value, bound), value, text.format(bound)))
+    return checks or [CheckResult("completed", not measured["blew_up"], measured["final_sup_u"],
+                                  "finite run to T")]
 
 
 def run_scenario(cfg, outdir=None):
@@ -235,22 +222,29 @@ def run_scenario(cfg, outdir=None):
     except OSError as e:
         raise IOError(f"cannot write run artifacts under {outdir}: {e}") from e
     verdict = detect_blowup(trace)
-    checks, drift = _evaluate_checks(cfg, trace, verdict)
-    sup = trace.column("sup_abs_u")
-    energy = trace.column("total_energy")
-    deficit = trace.column("deficit")
+    # integrate samples the initial state, so every column has a row
+    sup, energy, deficit = map(trace.column, ("sup_abs_u", "total_energy", "deficit"))
+    finite = energy[np.isfinite(energy)]
+    drift = math.nan
+    if len(finite) >= 2 and abs(finite[0]) > 0:
+        drift = float(np.max(np.abs(finite - finite[0])) / abs(finite[0]))
+    measured = {"energy_drift": drift, "blew_up": float(trace.blew_up),
+                "growth_factor": verdict.growth_factor,
+                "profile_fit_error": verdict.profile_fit_error,
+                "peak_sup_u": float(np.fmax.reduce(sup)),  # nanmax without its all-NaN warning
+                "t_star_estimate": verdict.t_star_estimate, "final_sup_u": float(sup[-1])}
     return ScenarioReport(
         scenario=cfg.name,
-        checks=checks,
+        checks=_evaluate_checks(cfg, measured),
         runtime_s=time.perf_counter() - started,
         outdir=outdir,
         trace_path=trace_path,
         snapshot_path=snapshot_path,
         blew_up=trace.blew_up,
         blowup=verdict,
-        final_sup_u=float(sup[-1]) if len(sup) else math.nan,
-        final_energy=float(energy[-1]) if len(energy) else math.nan,
+        final_sup_u=measured["final_sup_u"],
+        final_energy=float(energy[-1]),
         energy_drift=drift,
-        final_deficit=float(deficit[-1]) if len(deficit) else math.nan,
+        final_deficit=float(deficit[-1]),
         error_vs_exact=_error_vs_exact(cfg, trace.final_state),
     )

@@ -68,7 +68,7 @@ def smallness_gate():
             out[key] = float(value)
         except ValueError:
             out[key] = value
-    for key in ("besov_value", "l2_value", "besov_s", "dim"):
+    for key in ("profile", "besov_value", "l2_value", "besov_s", "dim"):
         if key not in out:
             raise ConfigError(f"{_GATE_FILE}: gate file lacks {key}=")
     return out

@@ -1,15 +1,17 @@
 """Acceptance checklist: every release-gating property as a callable check.
 
-Each numbered criterion function reruns its scenario from scratch and returns
-a ScenarioReport whose checks carry the measured value next to the required
-bound; nothing is cached between runs.  Suites group the criteria by the
-module they exercise, `all` runs each exactly once.  The CLI's `verify`
-subcommand is a thin wrapper over run_suite.
+Each criterion function reruns its scenario from scratch and returns its
+checks, each carrying the measured value next to the required bound; nothing
+is cached between runs.  One table names each report once, with its
+criterion number and suite; CRITERIA, SUITES and the order of `all` are read
+from it, and one timer turns a criterion's checks into its ScenarioReport.
+The CLI's `verify` subcommand is a thin wrapper over run_suite.
 """
 import math
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from scipy.special import gamma
@@ -27,43 +29,33 @@ from .spectral import (SPHERE_AREA, RadialProfile, SpectralProfile, besov_norm, 
                        radial_dyadic_sobolev_check, radial_fourier, scale, sobolev_norm)
 
 
-def _report(name, checks, started):
-    return ScenarioReport(scenario=name, checks=checks,
-                          runtime_s=time.perf_counter() - started)
-
-
 def _artifact_dir(name):
     return output_root() / "verify-artifacts" / name
 
 
-def _shipped_scenarios(report_name, names):
+def _shipped_scenarios(*names):
     """Run shipped scenarios; their [expect] checks, each prefixed with its scenario."""
-    started = time.perf_counter()
-    checks = [replace(c, name=f"{name}/{c.name}") for name in names
-              for c in run_scenario(load_scenario(name), outdir=_artifact_dir(name)).checks]
-    return _report(report_name, checks, started)
+    return [replace(c, name=f"{name}/{c.name}") for name in names
+            for c in run_scenario(load_scenario(name), outdir=_artifact_dir(name)).checks]
 
 
 # ---------------------------------------------------------------- criterion 1
 
 def shrinker_exactness():
     """The closed-form self-similar collapse solves the wave-map equation."""
-    started = time.perf_counter()
     rng = np.random.default_rng(20260819)
     t = rng.uniform(0.1, 10.0, 10_000)
     r = rng.uniform(1e-2, 30.0, 10_000)
     u, u_t, u_r, u_tt, u_rr = turok_spergel(t, r)
     res = u_tt - rhs_u(ModelSpec(Kind.WAVE_MAP), r, u, u_r, u_t, u_rr)
     worst = float(np.max(np.abs(res)))
-    checks = [CheckResult("collapse_solution_residual", worst <= 1e-12, worst, "<= 1e-12")]
-    return _report("shrinker-exactness", checks, started)
+    return [CheckResult("collapse_solution_residual", worst <= 1e-12, worst, "<= 1e-12")]
 
 
 # ---------------------------------------------------------------- criterion 2
 
 def coefficient_limits():
     """Axis limits of the six stripped nonlinearity coefficients."""
-    started = time.perf_counter()
     checks = []
     for alpha in (1.0, 0.7):
         limits = {1: -4.0 / 3.0, 2: -2.0 * alpha**2 / 3.0, 3: 0.0,
@@ -72,14 +64,13 @@ def coefficient_limits():
                     for cid, lim in limits.items())
         checks.append(CheckResult(f"axis_limits_alpha_{alpha:g}", worst <= 1e-10,
                                   worst, "<= 1e-10"))
-    return _report("coefficient-limits", checks, started)
+    return checks
 
 
 # ---------------------------------------------------------------- criterion 3
 
 def coefficient_bounds_suite():
     """Parity, signs, weighted boundedness, and the sine-ratio bounds."""
-    started = time.perf_counter()
     checks = []
     u = np.concatenate([np.linspace(1e-8, 60.0, 20_001),
                         np.geomspace(1e-12, 1e-2, 500)])
@@ -108,18 +99,17 @@ def coefficient_bounds_suite():
                               bound_worst, "finite, signs hold"))
 
     rep = check_sin_inequality(1.0)
-    for j, bound in ((0, 1.0), (1, rep.analytic_bound[1]), (2, 0.5)):
+    for j, bound in rep.analytic_bound.items():
         value = rep.sampled_sup[j]
         checks.append(CheckResult(f"sine_ratio_j{j}", value <= bound * (1 + 1e-12),
                                   value, f"<= {bound:g}"))
-    return _report("coefficient-bounds", checks, started)
+    return checks
 
 
 # ---------------------------------------------------------------- criterion 4
 
 def solver_convergence():
     """4th-order convergence against the closed-form linear solution."""
-    started = time.perf_counter()
     cfg = load_scenario("free-wave-convergence")
     prof = GaussianProfile(amplitude=cfg.data.amplitude, width=cfg.data.width,
                            center=cfg.data.center)
@@ -134,31 +124,28 @@ def solver_convergence():
     rep = convergence_study(data_fn, ModelSpec(Kind.FREE_WAVE_5D),
                             (512, 1024, 2048), R=cfg.R, T=cfg.T, cfl=cfg.cfl,
                             exact=exact_fn)
-    checks = [CheckResult("observed_order", rep.observed_order >= 3.5,
-                          rep.observed_order, ">= 3.5")]
-    return _report("solver-convergence", checks, started)
+    return [CheckResult("observed_order", rep.observed_order >= 3.5,
+                        rep.observed_order, ">= 3.5")]
 
 
 # ---------------------------------------------------------------- criterion 5
 
 def energy_conservation():
     """Small-data Skyrme and Adkins-Nappi runs conserve energy to 1e-6."""
-    return _shipped_scenarios("energy-conservation", ("skyrme-small", "adkins-nappi-small"))
+    return _shipped_scenarios("skyrme-small", "adkins-nappi-small")
 
 
 # ---------------------------------------------------------------- criterion 6
 
 def blowup_vs_regularization():
     """Identical large data: wave map collapses, Skyrme flow stays regular."""
-    return _shipped_scenarios("blowup-vs-regularization",
-                              ("wavemap-blowup", "skyrme-blowup-control"))
+    return _shipped_scenarios("wavemap-blowup", "skyrme-blowup-control")
 
 
 # ---------------------------------------------------------------- criterion 7
 
 def cubic_smallness_scaling():
     """Halving small data amplitudes cuts the nonlinear deficit ~8x."""
-    started = time.perf_counter()
     R, N, T2 = 18.0, 2048, 10.0
     g = RadialGrid(R, N)
     dt = 0.5 * g.dr
@@ -180,14 +167,13 @@ def cubic_smallness_scaling():
         ratio = deficits[k] / deficits[k + 1]
         checks.append(CheckResult(f"deficit_ratio_{deltas[k]:g}_to_{deltas[k+1]:g}",
                                   6.0 <= ratio <= 10.0, ratio, "in [6, 10]"))
-    return _report("cubic-smallness-scaling", checks, started)
+    return checks
 
 
 # ---------------------------------------------------------------- criterion 8
 
 def scattering_trend():
     """Deficit to the free flow shrinks as the handoff time grows."""
-    started = time.perf_counter()
     R, N, T2 = 28.0, 2048, 20.0
     g = RadialGrid(R, N)
     dt = 0.5 * g.dr
@@ -212,14 +198,13 @@ def scattering_trend():
         checks.append(CheckResult(f"{tag}/monotone_decrease",
                                   bool(np.all(drops < 0.0)),
                                   float(np.max(drops)), "all successive drops < 0"))
-    return _report("scattering-trend", checks, started)
+    return checks
 
 
 # ---------------------------------------------------------------- criterion 9
 
 def spectral_oracles():
     """Closed-form Gaussian norms, Besov/Sobolev match, shell reconstruction."""
-    started = time.perf_counter()
     checks = []
 
     g = RadialGrid(16.0, 1024)
@@ -263,14 +248,13 @@ def spectral_oracles():
     den = radial_integral(limited.values**2, g, 4)
     err = math.sqrt(num / den)
     checks.append(CheckResult("shell_reconstruction", err <= 1e-6, err, "<= 1e-6 rel"))
-    return _report("spectral-oracles", checks, started)
+    return checks
 
 
 # --------------------------------------------------------------- criterion 10
 
 def scaling_invariance():
     """Critical-norm invariance of the dilation family u_lam = lam^a u(r/lam)."""
-    started = time.perf_counter()
     g = RadialGrid(32.0, 2048)
     u = g.nodes**2 * np.exp(-g.nodes**2)
     p = RadialProfile(u, g, dim=3)
@@ -283,14 +267,13 @@ def scaling_invariance():
             worst = max(worst, abs(value - base) / base)
         checks.append(CheckResult(f"dilation_a_{a:g}_s_{s:g}", worst <= 1e-3,
                                   worst, "<= 1e-3 rel"))
-    return _report("scaling-invariance", checks, started)
+    return checks
 
 
 # --------------------------------------------------------------- criterion 11
 
 def supremum_vs_energy_trend():
     """Lower energy data never peak higher: rank correlation exactly 1."""
-    started = time.perf_counter()
     g = RadialGrid(12.0, 2048)
     dt = 0.5 * g.dr
     model = ModelSpec(Kind.SKYRME, alpha=1.0)
@@ -315,28 +298,26 @@ def supremum_vs_energy_trend():
     checks.append(CheckResult("sup_strictly_decreasing",
                               bool(np.all(np.diff(sups) < 0)),
                               float(np.max(np.diff(sups))), "all drops < 0"))
-    return _report("supremum-vs-energy", checks, started)
+    return checks
 
 
 # --------------------------------------------------------------- criterion 12
 
 def dyadic_sobolev_stability():
     """Sampled shell-sum constants stay within 2x across dilations."""
-    started = time.perf_counter()
     checks = []
     for n, alpha, p_exp, q_exp in ((5, 4, 2, math.inf), (3, 2, 2, 4), (5, 0, 2, 4)):
         rep = radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp)
         q_tag = "inf" if math.isinf(q_exp) else f"{q_exp:g}"
         checks.append(CheckResult(f"stability_n{n}_a{alpha}_p{p_exp}_q{q_tag}",
                                   rep.stability <= 2.0, rep.stability, "<= 2.0"))
-    return _report("dyadic-sobolev-stability", checks, started)
+    return checks
 
 
 # --------------------------------------------------------- structural suites
 
 def grid_calculus_checks():
     """Stencils and quadrature are exact on low-degree polynomials."""
-    started = time.perf_counter()
     g = RadialGrid(10.0, 128)
     r = g.nodes
     checks = []
@@ -359,15 +340,13 @@ def grid_calculus_checks():
     except ValueError:
         ok = True
     checks.append(CheckResult("odd_fields_vanish_at_axis", ok, float(ok), "contract enforced"))
-    return _report("grid-calculus", checks, started)
+    return checks
 
 
 def smallness_gate_consistency():
     """The recorded gate constant matches a recomputation and sorts the data."""
-    started = time.perf_counter()
     gate = smallness_gate()
-    cfg = load_scenario(gate["profile"] if isinstance(gate.get("profile"), str)
-                        else "skyrme-small")
+    cfg = load_scenario(gate["profile"])
     besov, _, l2 = data_size(cfg)
     rel = abs(besov - gate["besov_value"]) / gate["besov_value"]
     rel_l2 = abs(l2 - gate["l2_value"]) / gate["l2_value"]
@@ -380,45 +359,50 @@ def smallness_gate_consistency():
     checks.append(CheckResult("collapse_data_above_gate",
                               b_big > 10.0 * gate["besov_value"],
                               b_big / gate["besov_value"], "> 10x gate"))
-    return _report("smallness-gate", checks, started)
+    return checks
 
 
-CRITERIA = {
-    1: shrinker_exactness,
-    2: coefficient_limits,
-    3: coefficient_bounds_suite,
-    4: solver_convergence,
-    5: energy_conservation,
-    6: blowup_vs_regularization,
-    7: cubic_smallness_scaling,
-    8: scattering_trend,
-    9: spectral_oracles,
-    10: scaling_invariance,
-    11: supremum_vs_energy_trend,
-    12: dyadic_sobolev_stability,
-}
+# (criterion number or None, report name, suite, criterion), in `verify all` order
+_TABLE = (
+    (2, "coefficient-limits", "coefficients", coefficient_limits),
+    (3, "coefficient-bounds", "coefficients", coefficient_bounds_suite),
+    (None, "grid-calculus", "grid", grid_calculus_checks),
+    (1, "shrinker-exactness", "solver", shrinker_exactness),
+    (4, "solver-convergence", "solver", solver_convergence),
+    (5, "energy-conservation", "solver", energy_conservation),
+    (9, "spectral-oracles", "spectral", spectral_oracles),
+    (10, "scaling-invariance", "spectral", scaling_invariance),
+    (12, "dyadic-sobolev-stability", "spectral", dyadic_sobolev_stability),
+    (6, "blowup-vs-regularization", "theorems", blowup_vs_regularization),
+    (7, "cubic-smallness-scaling", "theorems", cubic_smallness_scaling),
+    (8, "scattering-trend", "theorems", scattering_trend),
+    (11, "supremum-vs-energy", "theorems", supremum_vs_energy_trend),
+    (None, "smallness-gate", "theorems", smallness_gate_consistency),
+)
 
-SUITES = {
-    "coefficients": (coefficient_limits, coefficient_bounds_suite),
-    "grid": (grid_calculus_checks,),
-    "solver": (shrinker_exactness, solver_convergence, energy_conservation),
-    "spectral": (spectral_oracles, scaling_invariance, dyadic_sobolev_stability),
-    "theorems": (blowup_vs_regularization, cubic_smallness_scaling,
-                 scattering_trend, supremum_vs_energy_trend,
-                 smallness_gate_consistency),
-}
+
+def _run(name, criterion):
+    """The criterion's checks as the report `name`, timed."""
+    started = time.perf_counter()
+    checks = criterion()
+    return ScenarioReport(scenario=name, checks=checks, runtime_s=time.perf_counter() - started)
+
+
+_RUNS = [(num, suite, partial(_run, name, criterion)) for num, name, suite, criterion in _TABLE]
+CRITERIA = dict(sorted(((num, run) for num, _, run in _RUNS if num), key=lambda item: item[0]))
+SUITES = {suite: tuple(run for _, s, run in _RUNS if s == suite) for _, suite, _ in _RUNS}
 
 
 def run_suite(name):
     """Execute a named suite; returns the list of ScenarioReports."""
     if name == "all":
-        fns = list(dict.fromkeys(fn for suite in SUITES.values() for fn in suite))
+        runs = [run for _, _, run in _RUNS]
     elif name in SUITES:
-        fns = list(SUITES[name])
+        runs = SUITES[name]
     else:
         raise ConfigError(f"unknown suite {name!r}; "
                           f"choose from {', '.join(sorted(SUITES))} or all")
-    return [fn() for fn in fns]
+    return [run() for run in runs]
 
 
 def format_reports(reports):

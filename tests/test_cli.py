@@ -1,7 +1,4 @@
 """CLI contract: subcommands, exit codes, emitted artifacts."""
-import math
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -154,6 +151,13 @@ def test_sweep_single_value_axis_rejected(outroot, tmp_path, capsys):
 def test_sweep_axis_must_target_known_section(outroot, tmp_path, capsys):
     rc = main(["sweep", write_cfg(tmp_path, TINY), "--axis", "expect.blowup=0,1"])
     assert rc == 2
+
+
+def test_sweep_axis_key_unknown_to_its_section_exits_2_before_any_run(outroot, tmp_path, capsys):
+    rc = main(["sweep", write_cfg(tmp_path, TINY), "--axis", "run.bogus=1,2"])
+    assert rc == 2
+    assert "unknown key 'bogus' in section [run]" in capsys.readouterr().err
+    assert not (outroot / "case-sweep").exists()
 
 
 def test_norms_csv_schema(outroot, tmp_path, capsys):

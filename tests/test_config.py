@@ -10,6 +10,7 @@ from skyrmelab.config import DataSpec, ExpectSpec, RunConfig, initial_state, par
 from skyrmelab.errors import ConfigError
 from skyrmelab.exact import exact_free_wave_5d, GaussianProfile, turok_spergel_collapse_data
 from skyrmelab.models import Kind
+from skyrmelab import scenarios
 from skyrmelab.scenarios import load_scenario, scenario_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +137,17 @@ def test_non_finite_values_are_rejected_on_their_line(section, key, bad, context
 @pytest.mark.parametrize("name", scenario_names())
 def test_echo_of_shipped_scenarios_is_frozen(name):
     assert load_scenario(name).echo() == (GOLDEN / f"{name}.echo").read_text()
+
+
+def test_gate_file_must_name_its_profile(tmp_path, monkeypatch):
+    shipped = scenarios._GATE_FILE.read_text()
+    assert scenarios.smallness_gate()["profile"] == "skyrme-small"
+    gate = tmp_path / "gate.txt"
+    gate.write_text("".join(ln + "\n" for ln in shipped.splitlines()
+                            if not ln.startswith("profile")))
+    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
+    with pytest.raises(ConfigError, match="profile"):
+        scenarios.smallness_gate()
 
 
 def test_gaussian_data_symmetrized_off_axis():

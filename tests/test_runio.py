@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skyrmelab import runio
 from skyrmelab.config import parse_config
 from skyrmelab.errors import ConfigError
 from skyrmelab.grid import RadialGrid
 from skyrmelab.models import Kind, ModelSpec
 from skyrmelab.runio import (TRACE_COLUMNS, output_root, read_snapshot, read_trace,
-                             run_scenario, write_snapshot, write_trace)
-from skyrmelab.solver import FieldState, integrate
+                             run_scenario, write_snapshot)
+from skyrmelab.solver import BlowupReport, DiagnosticsTrace, FieldState, TraceRow
 
 SMALL = """[run]
 model = wave-map
@@ -178,3 +179,80 @@ snapshot_time = 1.0
     assert 100.0 < rep.blowup.growth_factor < 1000.0
     assert not rep.blew_up
     assert rep.blowup.t_star_estimate == math.inf
+
+
+INF, NAN = math.inf, math.nan
+
+
+def fake_report(monkeypatch, tmp_path, expect, sup=(0.5, 0.5), energy=(1.0, 1.0), blew_up=False,
+                growth=2.0, fit=0.01, t_star=1.0):
+    """run_scenario's report when the run and its verdict measure the given values."""
+    g = RadialGrid(4.0, 8)
+    final = FieldState(0.5, np.zeros(9), np.zeros(9), g, ModelSpec(Kind.WAVE_MAP))
+    rows = [TraceRow(0.5 * k, e, s, 1.0, NAN, NAN, 0)
+            for k, (e, s) in enumerate(zip(energy, sup))]
+    trace = DiagnosticsTrace(rows=rows, blew_up=blew_up, final_state=final)
+    monkeypatch.setattr(runio, "integrate", lambda *a, **k: trace)
+    monkeypatch.setattr(runio, "detect_blowup",
+                        lambda tr: BlowupReport(t_star, growth, fit))
+    cfg = parse_config(f"[run]\nR = 4\nN = 8\n[expect]\n{expect}", name="fake")
+    return run_scenario(cfg, outdir=tmp_path / "fake")
+
+
+# (expect lines, measured values) -> the one check record they give:
+# (name, passed, repr(value), tolerance)
+EXPECT_RECORDS = [
+    ("", dict(sup=(0.5, 0.25)), ("completed", True, "0.25", "finite run to T")),
+    ("", dict(sup=(NAN,), blew_up=True), ("completed", False, "nan", "finite run to T")),
+    ("", dict(sup=(INF,), blew_up=True), ("completed", False, "inf", "finite run to T")),
+    ("", dict(sup=(-INF,)), ("completed", True, "-inf", "finite run to T")),
+    ("energy_drift_max = 0.5", dict(energy=(1.0, 1.25)),
+     ("energy_drift", True, "0.25", "<= 0.5")),
+    ("energy_drift_max = 0.5", dict(energy=(NAN, 1.0)),
+     ("energy_drift", False, "nan", "<= 0.5")),
+    ("energy_drift_max = 0.5", dict(energy=(1e-300, 1e300)),
+     ("energy_drift", False, "inf", "<= 0.5")),
+    ("blowup = true", dict(blew_up=True), ("blowup", True, "1.0", "detector == True")),
+    ("blowup = false", dict(blew_up=True), ("blowup", False, "1.0", "detector == False")),
+    ("blowup = false", dict(), ("blowup", True, "0.0", "detector == False")),
+    ("growth_min = 1.5", dict(growth=2.0), ("growth_min", True, "2.0", ">= 1.5")),
+    ("growth_min = 1.5", dict(growth=NAN), ("growth_min", False, "nan", ">= 1.5")),
+    ("growth_min = 1.5", dict(growth=INF), ("growth_min", True, "inf", ">= 1.5")),
+    ("growth_min = 1.5", dict(growth=-INF), ("growth_min", False, "-inf", ">= 1.5")),
+    ("growth_max = 1.5", dict(growth=2.0), ("growth_max", False, "2.0", "<= 1.5")),
+    ("growth_max = 1.5", dict(growth=NAN), ("growth_max", False, "nan", "<= 1.5")),
+    ("growth_max = 1.5", dict(growth=INF), ("growth_max", False, "inf", "<= 1.5")),
+    ("growth_max = 1.5", dict(growth=-INF), ("growth_max", True, "-inf", "<= 1.5")),
+    ("profile_fit_max = 0.1", dict(fit=0.01), ("profile_fit", True, "0.01", "<= 0.1")),
+    ("profile_fit_max = 0.1", dict(fit=NAN), ("profile_fit", False, "nan", "<= 0.1")),
+    ("profile_fit_max = 0.1", dict(fit=INF), ("profile_fit", False, "inf", "<= 0.1")),
+    ("profile_fit_max = 0.1", dict(fit=-INF), ("profile_fit", False, "-inf", "<= 0.1")),
+    ("sup_u_max = 1", dict(sup=(0.5, NAN, 0.75), energy=(1.0,) * 3), ("sup_u", True, "0.75", "<= 1")),
+    ("sup_u_max = 1", dict(sup=(NAN,)), ("sup_u", False, "nan", "<= 1")),
+    ("sup_u_max = 1", dict(sup=(INF,)), ("sup_u", False, "inf", "<= 1")),
+    ("sup_u_max = 1", dict(sup=(-INF,)), ("sup_u", True, "-inf", "<= 1")),
+    ("t_star = 1\nt_star_tol = 0.1", dict(t_star=1.05),
+     ("t_star", True, "1.05", "within 0.1 of 1")),
+    ("t_star = 1", dict(t_star=NAN), ("t_star", False, "nan", "within 0.05 of 1")),
+    ("t_star = 1", dict(t_star=INF), ("t_star", False, "inf", "within 0.05 of 1")),
+    ("t_star = 1", dict(t_star=-INF), ("t_star", False, "-inf", "within 0.05 of 1")),
+]
+
+
+@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("expect,measured,record", EXPECT_RECORDS,
+                         ids=[f"{name}-{value}-{'pass' if ok else 'fail'}"
+                              for _, _, (name, ok, value, _) in EXPECT_RECORDS])
+def test_each_expect_key_gives_its_record(monkeypatch, tmp_path, expect, measured, record):
+    rep = fake_report(monkeypatch, tmp_path, expect + "\n", **measured)
+    assert [(c.name, c.passed, repr(c.value), c.tolerance) for c in rep.checks] == [record]
+
+
+def test_expect_records_come_in_section_order(monkeypatch, tmp_path):
+    expect = ("t_star = 1\nsup_u_max = 1\nprofile_fit_max = 0.1\ngrowth_max = 3\n"
+              "growth_min = 1.5\nblowup = false\nenergy_drift_max = 0.5\n")
+    rep = fake_report(monkeypatch, tmp_path, expect)
+    assert [c.name for c in rep.checks] == ["energy_drift", "blowup", "growth_min",
+                                            "growth_max", "profile_fit", "sup_u", "t_star"]
+    assert rep.passed

@@ -1,5 +1,7 @@
 """Evolution tests: convergence, conservation, reversal, blow-up plumbing."""
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +428,26 @@ def test_trace_reaches_final_time_with_ragged_cadence():
     tr = integrate(st, 0.013, 0.1, cadence=3)  # 8 steps, stride 3
     assert tr.rows[-1].t == pytest.approx(0.1, abs=1e-14)
     assert not tr.blew_up
+
+
+STEP_GOLDEN = Path(__file__).parent / "golden" / "step_rk4.sha256"
+
+
+def _collapse_step_digest(kind):
+    """sha256 of the float64 bytes of t, v and vt after 50 RK4 steps of collapse data."""
+    g = RadialGrid(8.0, 16384)
+    v0, vt0 = turok_spergel_collapse_data(1.0, g.nodes)
+    st = FieldState(0.0, v0, vt0, g, ModelSpec(kind, alpha=1.0 if kind in ALPHA_KINDS else None))
+    for _ in range(50):
+        st = step_rk4(st, 0.5 * g.dr)
+    return hashlib.sha256(np.float64(st.t).tobytes() + st.v.tobytes() + st.vt.tobytes()).hexdigest()
+
+
+def test_step_rk4_matches_golden_digests():
+    # frozen before any rewrite of the stepper: every bit of 50 steps per model
+    golden = dict(ln.split(" = ") for ln in STEP_GOLDEN.read_text().splitlines()
+                  if ln and not ln.startswith("#"))
+    written = golden.pop("numpy")
+    assert written == np.__version__, (
+        f"digests were written under numpy {written}, this is numpy {np.__version__}")
+    assert golden == {kind.value: _collapse_step_digest(kind) for kind in Kind}
