@@ -129,22 +129,14 @@ def _cmd_sweep(args):
     return EXIT_OK if ok else EXIT_CRITERION
 
 
-def _parse_q(raw):
-    if raw.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(raw)
-
-
 def _cmd_norms(args):
     state = read_snapshot(args.snapshot)
     profile = RadialProfile(state.v, state.grid, dim=args.dim)
     stem = Path(args.snapshot).stem
     lines = ["profile_id,n,s,p,q,value,truncation_bound"]
-    q = _parse_q(args.q)
-    q_txt = "inf" if math.isinf(q) else "%g" % q
     for s in args.s:
-        result = besov_norm(profile, s, args.p, q)
-        lines.append(f"{stem},{args.dim},{s:g},{args.p:g},{q_txt},"
+        result = besov_norm(profile, s, args.p, args.q)
+        lines.append(f"{stem},{args.dim},{s:g},{args.p:g},{args.q:g},"
                      f"{result.value:.17g},{result.truncation_bound:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -181,7 +173,7 @@ def build_parser():
     p.add_argument("--s", type=float, nargs="+", required=True,
                    help="one or more regularity exponents")
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--dim", type=int, default=5, choices=(3, 5))
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(fn=_cmd_norms)

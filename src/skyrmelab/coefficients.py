@@ -201,8 +201,6 @@ _FD2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 
 @dataclass
 class CoeffBoundReport:
-    cid: int
-    alpha: float
     weighted_sup: dict  # derivative order -> sup |d^j c| <u>^k over samples
     sign_ok: bool | None  # only for ids 1, 5, 6
 
@@ -236,12 +234,11 @@ def check_coeff_bounds(cid, alpha=1.0):
     if cid in SIGN:
         vals = tilde_h(cid, u, alpha)
         sign_ok = bool(np.all(SIGN[cid] * vals >= -1e-15))
-    return CoeffBoundReport(cid=cid, alpha=alpha, weighted_sup=weighted, sign_ok=sign_ok)
+    return CoeffBoundReport(weighted_sup=weighted, sign_ok=sign_ok)
 
 
 @dataclass
 class SinInequalityReport:
-    alpha: float
     sampled_sup: dict  # j -> sup of |sin u / r|^j / (1 + 2 alpha^2 sin^2 u / r^2)
     analytic_bound: dict
 
@@ -260,4 +257,4 @@ def check_sin_inequality(alpha):
     denom = 1.0 + 2.0 * alpha * alpha * x * x
     sampled = {j: float(np.max(x**j / denom)) for j in (0, 1, 2)}
     analytic = {0: 1.0, 1: 1.0 / (2.0 * math.sqrt(2.0) * alpha), 2: 1.0 / (2.0 * alpha * alpha)}
-    return SinInequalityReport(alpha=alpha, sampled_sup=sampled, analytic_bound=analytic)
+    return SinInequalityReport(sampled_sup=sampled, analytic_bound=analytic)

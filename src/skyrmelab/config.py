@@ -16,10 +16,9 @@ from .errors import ConfigError, DomainError
 from .exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
 from .grid import RadialGrid
 from .models import Kind, ModelSpec
-from .solver import FieldState
+from .solver import BOUNDARIES, CFL_ENVELOPE, GROWTH_THRESHOLD, FieldState
 
 DATA_FAMILIES = ("gaussian", "turok-spergel", "free-wave", "file")
-BOUNDARIES = ("pin", "sommerfeld")
 
 
 @dataclass
@@ -70,7 +69,7 @@ class RunConfig:
     lightcone_t0: float = None
     track_deficit: bool = False
     sup_window: float = None
-    growth_threshold: float = 100.0
+    growth_threshold: float = GROWTH_THRESHOLD
     outdir: str = ""
     data: DataSpec = field(default_factory=DataSpec)
     expect: ExpectSpec = field(default_factory=ExpectSpec)
@@ -143,7 +142,7 @@ _RULES = {
     ("run", "model"): (_MODELS.__contains__, f"must be one of {_MODELS}"),
     ("run", "R"): _POSITIVE,
     ("run", "N"): (lambda n: n >= 8 and n % 8 == 0, "must be a multiple of 8, at least 8"),
-    ("run", "cfl"): (lambda x: 0.0 < x <= 0.9, "must lie in (0, 0.9]"),
+    ("run", "cfl"): (lambda x: 0.0 < x <= CFL_ENVELOPE, f"must lie in (0, {CFL_ENVELOPE}]"),
     ("run", "dt"): _POSITIVE,
     ("run", "T"): (lambda x: x >= 0, "must be >= 0"),
     ("run", "boundary"): (BOUNDARIES.__contains__, f"must be one of {BOUNDARIES}"),

@@ -77,9 +77,6 @@ class GaussianProfile:
         hermite = np.polynomial.hermite.hermval(x, coeffs)
         return self.amplitude * (-1.0 / self.width) ** n * hermite * np.exp(-x * x)
 
-    def __call__(self, s):
-        return self.derivative(0, s)
-
 
 _SERIES_TERMS = 14
 
@@ -87,15 +84,15 @@ _SERIES_TERMS = 14
 def exact_free_wave_5d(profile, t, r, t_order=0):
     """Exact solution at (t, r); t_order = k returns d^k/dt^k of it.
 
-    profile must expose derivative(n, s); GaussianProfile is the shipped one.
+    profile must expose derivative(n, s) and width, below half of which the
+    Taylor series replaces the closed form; GaussianProfile is the shipped one.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     scalar = t.ndim == 0 and r.ndim == 0
     t, r = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(r))
     k = int(t_order)
-    width = getattr(profile, "width", 1.0)
-    switch = 0.5 * width
+    switch = 0.5 * profile.width
     out = np.empty(r.shape, dtype=float)
 
     far = np.abs(r) >= switch

@@ -108,6 +108,10 @@ def read_snapshot(path):
         table = np.array(cells, dtype=float).reshape(len(body), 3)
     except ValueError as e:
         raise ConfigError(f"{path}: non-numeric snapshot cell ({e})") from e
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        row = int(bad[0])
+        raise ConfigError(f"{path}: non-finite snapshot cell in data row {row + 1}: {body[row]!r}")
     grid = RadialGrid(R, N)
     if not np.allclose(table[:, 0], grid.nodes, rtol=0.0, atol=1e-12 * R):
         raise ConfigError(f"{path}: radius column does not match a uniform grid on (0, {R}]")

@@ -22,6 +22,8 @@ GATE_S = 1.5
 GATE_P = 2
 GATE_Q = 1
 GATE_DIM = 5
+# the gate file's record of what data_size measures with
+_GATE_MEASURE = {"dim": GATE_DIM, "besov_s": GATE_S, "besov_p": GATE_P, "besov_q": GATE_Q}
 
 
 def scenario_names():
@@ -68,8 +70,12 @@ def smallness_gate():
             out[key] = float(value)
         except ValueError:
             out[key] = value
-    for key in ("profile", "besov_value", "l2_value", "besov_s", "dim"):
+    for key in ("profile", "besov_value", "l2_value", *_GATE_MEASURE):
         if key not in out:
             raise ConfigError(f"{_GATE_FILE}: gate file lacks {key}=")
+    for key, want in _GATE_MEASURE.items():
+        if out[key] != want:
+            raise ConfigError(f"{_GATE_FILE}: {key} = {out[key]}, but data_size measures "
+                              f"with {key} = {want}")
     return out
 

@@ -33,6 +33,7 @@ from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
 GROWTH_THRESHOLD = 100.0
 HARD_SUP = 1.0e6
 CFL_ENVELOPE = 0.9
+BOUNDARIES = ("pin", "sommerfeld")
 
 
 @dataclass
@@ -106,7 +107,7 @@ def _rhs(state, v, vt, boundary):
 
 def step_rk4(state, dt, boundary="pin"):
     """One classical RK4 step of the (v, v_t) system; deterministic."""
-    if boundary not in ("pin", "sommerfeld"):
+    if boundary not in BOUNDARIES:
         raise ConfigError(f"unknown boundary closure {boundary!r}")
     h = abs(dt)
     if h > CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):
@@ -300,7 +301,6 @@ def scattering_deficit(init, dt, T1, T2):
 
 @dataclass
 class ConvergenceReport:
-    resolutions: list
     errors: list
     orders: list
     observed_order: float
@@ -346,5 +346,4 @@ def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None):
         slope = np.polyfit(np.log([R / n for n in measured]), np.log(errors), 1)[0]
     else:
         slope = math.inf
-    return ConvergenceReport(resolutions=res, errors=errors, orders=orders,
-                             observed_order=float(slope))
+    return ConvergenceReport(errors=errors, orders=orders, observed_order=float(slope))

@@ -58,7 +58,7 @@ import numpy as np
 from scipy.special import betainc, roots_jacobi
 
 from .errors import ContractError, DomainError
-from .grid import FieldSamples, Parity, RadialGrid, d_r
+from .grid import RadialGrid
 
 SPHERE_AREA = {3: 4.0 * math.pi, 5: 8.0 * math.pi**2 / 3.0}
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
@@ -98,10 +98,17 @@ class RadialProfile:
 
 @dataclass
 class SpectralProfile:
+    """fhat at the frequencies k pi/R, k = 1..len(fhat) <= N, of the grid: rho_nodes."""
     dim: int
-    rho_nodes: np.ndarray
     fhat: np.ndarray
     grid: RadialGrid
+    rho_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.fhat)
+        if not (len(shape) == 1 and 1 <= shape[0] <= self.grid.N):
+            raise ContractError("fhat must hold the first 1..N lattice frequencies of its grid")
+        self.rho_nodes = _frequency_lattice(self.grid)[1:shape[0] + 1]
 
 
 def _kernel(dim, x):
@@ -323,19 +330,18 @@ def _frequency_lattice(g):
 def radial_fourier(p):
     """Transform onto the uniform frequency grid k pi/R, k = 1..N, up to Nyquist pi/dr.
 
-    A spectrum truncated to its first m frequencies is a prefix of this one,
-    SpectralProfile(dim, rho_nodes[:m], fhat[:m], grid), and inverts as such.
+    A spectrum truncated to its first m frequencies is
+    SpectralProfile(dim, fhat[:m], grid), and inverts as such.
     """
-    g = p.grid
     if not p.decay_certified:
         warnings.warn("profile tail is not negligible; transform accuracy degrades",
                       RuntimeWarning, stacklevel=2)
     fhat = _lattice_matvec(p.dim, _forward_vector(p))[1:]
-    return SpectralProfile(p.dim, _frequency_lattice(g)[1:], _SQRT_2_PI * fhat, g)
+    return SpectralProfile(p.dim, _SQRT_2_PI * fhat, p.grid)
 
 
 def inverse_radial_fourier(sp):
-    """Back to the source grid; sp.rho_nodes must be radial_fourier's frequencies, or a prefix.
+    """Back to the source grid from the first len(sp.fhat) lattice frequencies k pi/R.
 
     In dim 5 the weights rho^4 reach (pi N / R)^4, about 4e13 at N = 16384 and
     R = 20, so the forward transform's rounding noise where the true fhat has
@@ -344,13 +350,8 @@ def inverse_radial_fourier(sp):
     within 1.6e-15 of a long-double sum of the same kernel (N = 2048).
     """
     g = sp.grid
-    lattice = _frequency_lattice(g)
-    rho = np.asarray(sp.rho_nodes, dtype=float)
-    m = rho.size
-    if not (rho.ndim == 1 and 1 <= m <= g.N and np.array_equal(rho, lattice[1:m + 1])):
-        raise ContractError("rho_nodes must be radial_fourier's frequencies for this grid")
     vec = np.zeros(g.N + 1)
-    vec[1:m + 1] = _inverse_vector(sp)
+    vec[1:len(sp.fhat) + 1] = _inverse_vector(sp)
     return RadialProfile(_SQRT_2_PI * _lattice_matvec(sp.dim, vec), sp.grid, sp.dim)
 
 
@@ -469,7 +470,7 @@ def dyadic_piece(p, lam, spectrum=None):
     if not lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12):
         raise DomainError(f"lambda={lam} outside the resolvable band [{lo}, {hi}]")
     sp = spectrum if spectrum is not None else radial_fourier(p)
-    filtered = SpectralProfile(sp.dim, sp.rho_nodes, sp.fhat * chi(sp.rho_nodes / lam), sp.grid)
+    filtered = SpectralProfile(sp.dim, sp.fhat * chi(sp.rho_nodes / lam), sp.grid)
     return inverse_radial_fourier(filtered)
 
 
@@ -477,7 +478,6 @@ def dyadic_piece(p, lam, spectrum=None):
 class BesovResult:
     value: float
     truncation_bound: float
-    band: tuple
     pieces: tuple
 
     def __float__(self):
@@ -525,7 +525,7 @@ def besov_norm(p, s, p_exp, q_exp):
         value = float(np.sum(b**q_exp) ** (1.0 / q_exp))
     trunc = math.sqrt(area * max(_spectral_moment(
         p, s, weight=_band_complement_weight(band)), 0.0))
-    return BesovResult(value=value, truncation_bound=trunc, band=band, pieces=tuple(pieces))
+    return BesovResult(value=value, truncation_bound=trunc, pieces=tuple(pieces))
 
 
 def scale(p, lam, a):
@@ -559,53 +559,8 @@ def scale(p, lam, a):
     return result
 
 
-def norm_equivalence_check(u, s):
-    """Ratio of the dim-5 Sobolev norm of u/r to the dim-3 norm of u.
-
-    u must vanish linearly at the axis; u/r at r=0 is taken as the odd-parity
-    derivative of u there.
-    """
-    if u.dim != 3:
-        raise DomainError("equivalence check expects a dim-3 profile")
-    if u.values[0] != 0.0:
-        raise DomainError("u(0) must vanish for u/r to be regular")
-    g = u.grid
-    v = np.empty_like(u.values)
-    v[1:] = u.values[1:] / g.nodes[1:]
-    v[0] = d_r(FieldSamples(u.values, Parity.ODD), g).values[0]
-    ratio = sobolev_norm(RadialProfile(v, g, 5), s) / sobolev_norm(u, s)
-    return float(ratio)
-
-
-def norm_equivalence_band(s, grid):
-    """(min, max) of norm_equivalence_check over ten dim-3 profiles on grid.
-
-    Each profile vanishes linearly at the axis, so u/r is regular there.
-    """
-    r = grid.nodes
-    shapes = [
-        r * np.exp(-(r**2)),
-        r**3 * np.exp(-(r**2)),
-        r * np.exp(-(r**4)),
-        r * np.exp(-(r**2)) * np.cos(2.0 * r),
-        r * np.exp(-2.0 * r**2) * (1.0 + r**2),
-        r / (1.0 + r**2) ** 3,
-        r * np.exp(-(r**2) / 4.0),
-        r * np.exp(-4.0 * r**2),
-        r**3 * np.exp(-(r**2) / 2.0) / (1.0 + r**2),
-        r * np.exp(-(r**2)) * np.cos(4.0 * r) ** 2,
-    ]
-    ratios = [norm_equivalence_check(RadialProfile(u, grid, 3), s) for u in shapes]
-    return float(min(ratios)), float(max(ratios))
-
-
 @dataclass
 class DyadicSobolevReport:
-    n: int
-    alpha: float
-    p_exp: float
-    q_exp: float
-    lambdas: tuple
     constants: tuple
 
     @property
@@ -658,6 +613,5 @@ def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp):
             if rhs > 0:
                 best = max(best, lhs / rhs)
         constants.append(best)
-    return DyadicSobolevReport(n=n, alpha=alpha, p_exp=p_exp, q_exp=q_exp,
-                               lambdas=lambdas, constants=tuple(constants))
+    return DyadicSobolevReport(constants=tuple(constants))
 

@@ -235,8 +235,7 @@ def spectral_oracles():
     window = np.zeros_like(sp.rho_nodes)
     for lam in band[1:-1]:
         window += chi(sp.rho_nodes / lam)
-    limited = inverse_radial_fourier(
-        SpectralProfile(5, sp.rho_nodes, sp.fhat * window, g))
+    limited = inverse_radial_fourier(SpectralProfile(5, sp.fhat * window, g))
     with warnings.catch_warnings():
         # band-limiting leaves harmless ringing at the grid edge
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -195,6 +195,9 @@ def test_norms_rejects_bad_exponents(outroot, tmp_path, capsys):
     snap = str(outroot / "tiny" / "final.snap")
     rc = main(["norms", snap, "--s", "1.0", "--p", "0.5"])
     assert rc == 2
+    with pytest.raises(SystemExit) as e:  # --q is a float, like --p
+        main(["norms", snap, "--s", "1.0", "--q", "abc"])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("s", ["nan", "inf"])
@@ -217,7 +220,10 @@ def test_norms_rejects_non_finite_s(tmp_path, capsys, s):
     ("t=0 ", "t=inf "),
     ("alpha=1.5", "alpha=inf"),
     ("model=skyrme", "model=wave-map"),
-], ids=["model", "N", "t", "alpha", "cell", "t-nan", "t-inf", "alpha-inf", "alpha-on-wave-map"])
+    ("\n0 1 0\n", "\n0 nan 0\n"),
+    ("\n0 1 0\n", "\n0 inf 0\n"),
+], ids=["model", "N", "t", "alpha", "cell", "t-nan", "t-inf", "alpha-inf", "alpha-on-wave-map",
+        "cell-nan", "cell-inf"])
 def test_norms_malformed_snapshot_exits_2(tmp_path, capsys, old, new):
     g = RadialGrid(10.0, 16)
     v = np.exp(-g.nodes**2)
@@ -228,6 +234,18 @@ def test_norms_malformed_snapshot_exits_2(tmp_path, capsys, old, new):
     snap.write_text(text.replace(old, new, 1))
     assert main(["norms", str(snap), "--s", "1.0"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_run_from_non_finite_snapshot_names_the_file(outroot, tmp_path, capsys):
+    g = RadialGrid(10.0, 16)
+    v = np.exp(-g.nodes**2)
+    v[3] = np.nan
+    snap = write_snapshot(tmp_path / "nan.snap",
+                          FieldState(0.0, v, np.zeros_like(v), g, ModelSpec(Kind.WAVE_MAP)))
+    text = f"[run]\nR = 10\nN = 16\nT = 0.1\n[data]\nfamily = file\npath = {snap}\n"
+    assert main(["run", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(snap) in err and "row 4" in err
 
 
 def test_norms_missing_snapshot_exits_3(outroot, capsys):

@@ -150,6 +150,20 @@ def test_gate_file_must_name_its_profile(tmp_path, monkeypatch):
         scenarios.smallness_gate()
 
 
+def test_gate_file_must_match_what_data_size_measures(tmp_path, monkeypatch):
+    shipped = scenarios._GATE_FILE.read_text()
+    assert "besov_s = 1.5\n" in shipped
+    gate = tmp_path / "gate.txt"
+    gate.write_text(shipped.replace("besov_s = 1.5\n", "besov_s = 2\n"))
+    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
+    with pytest.raises(ConfigError, match="besov_s"):
+        scenarios.smallness_gate()
+    gate.write_text("".join(ln + "\n" for ln in shipped.splitlines()
+                            if not ln.startswith("besov_q")))
+    with pytest.raises(ConfigError, match="besov_q"):
+        scenarios.smallness_gate()
+
+
 def test_gaussian_data_symmetrized_off_axis():
     cfg = parse_config("[run]\nN = 64\nR = 10\n"
                        "[data]\nfamily = gaussian\namplitude = 0.4\ncenter = 2.0\n")

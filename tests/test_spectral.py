@@ -19,7 +19,6 @@ from skyrmelab.grid import RadialGrid, radial_integral
 from skyrmelab.spectral import (SPHERE_AREA, RadialProfile, SpectralProfile,
                                 besov_norm, chi, dyadic_band,
                                 dyadic_piece, inverse_radial_fourier, lp_norm,
-                                norm_equivalence_band, norm_equivalence_check,
                                 radial_dyadic_sobolev_check, radial_fourier,
                                 scale, sobolev_norm)
 
@@ -71,20 +70,20 @@ def test_lp_norm_guard():
 
 
 def test_inverse_needs_the_forward_frequencies():
+    # a spectrum sits on the first len(fhat) frequencies k pi / R of its grid
     sp = radial_fourier(gauss_profile(5))
-    other = RadialGrid(12.0, 1024)
-    bad = [sp.rho_nodes * (1.0 + 1e-15),             # off the lattice by a few ulp
-           0.5 * sp.rho_nodes,                        # spacing pi / (2R)
-           np.linspace(sp.rho_nodes[0], 1.0, 40),     # arbitrary frequencies
-           radial_fourier(gauss_profile(5, other)).rho_nodes,
-           sp.rho_nodes[1:],                          # lattice without its first node
-           sp.rho_nodes[:0],
-           sp.rho_nodes[0]]
-    for rho in bad:
+    assert np.array_equal(sp.rho_nodes, math.pi / G16.R * np.arange(1, G16.N + 1))
+    bad = [sp.fhat[:0],                               # no frequency
+           sp.fhat[0],                                # not 1-D
+           np.ones((2, G16.N // 2)),
+           np.ones(G16.N + 1)]                        # past Nyquist
+    for fhat in bad:
         with pytest.raises(ContractError):
-            inverse_radial_fourier(SpectralProfile(5, rho, np.ones_like(rho), G16))
+            SpectralProfile(5, fhat, G16)
     m = G16.N // 2  # a truncated spectrum is a prefix of the lattice
-    inverse_radial_fourier(SpectralProfile(5, sp.rho_nodes[:m], sp.fhat[:m], G16))
+    cut = SpectralProfile(5, sp.fhat[:m], G16)
+    assert np.array_equal(cut.rho_nodes, sp.rho_nodes[:m])
+    inverse_radial_fourier(cut)
 
 
 def test_undecayed_profile_warns():
@@ -233,7 +232,7 @@ def test_transforms_match_the_direct_kernel(dim, N):
         warnings.simplefilter("ignore", RuntimeWarning)  # the spike is wide at N = 8
         spectra = [radial_fourier(p) for p in profiles]
     cut = int(round(0.6 * N))  # truncated below Nyquist, as a prefix
-    spectra += [SpectralProfile(dim, sp.rho_nodes[:cut], sp.fhat[:cut], g) for sp in spectra]
+    spectra += [SpectralProfile(dim, sp.fhat[:cut], g) for sp in spectra]
     inv = np.zeros((N, len(spectra)))
     for col, sp in enumerate(spectra):
         inv[:len(sp.rho_nodes), col] = spectral._inverse_vector(sp)
@@ -485,8 +484,7 @@ def test_shell_reconstruction_on_band_limited_profile():
     window = np.zeros_like(sp.rho_nodes)
     for lam in band[1:-1]:
         window += chi(sp.rho_nodes / lam)
-    limited = inverse_radial_fourier(SpectralProfile(5, sp.rho_nodes,
-                                                     sp.fhat * window, G16))
+    limited = inverse_radial_fourier(SpectralProfile(5, sp.fhat * window, G16))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         spec = radial_fourier(limited)
@@ -582,33 +580,6 @@ def test_scale_guards():
     for lam in (0.0, -2.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="scaling factor must be positive and finite"):
             scale(p, lam, 1.0)
-
-
-# ------------------------------------------------- R^3 <-> R^5 norm relation
-
-def test_equivalence_band_is_tight():
-    g = RadialGrid(16.0, 512)
-    for s in (1.0, 1.5):
-        lo, hi = norm_equivalence_band(s, g)
-        assert 0.0 < lo <= hi
-        assert hi / lo <= 10.0
-
-
-def test_equivalence_band_dilation_stable():
-    g = RadialGrid(16.0, 512)
-    lo, hi = norm_equivalence_band(1.5, g)
-    u = g.nodes * np.exp(-4.0 * g.nodes**2)  # a dilated family member
-    ratio = norm_equivalence_check(RadialProfile(u, g, dim=3), 1.5)
-    assert lo * (1 - 1e-9) <= ratio <= hi * (1 + 1e-9)
-
-
-def test_equivalence_check_guards():
-    g = RadialGrid(16.0, 512)
-    u_even = np.exp(-g.nodes**2)
-    with pytest.raises(DomainError):
-        norm_equivalence_check(RadialProfile(u_even, g, dim=5), 1.0)
-    with pytest.raises(DomainError):
-        norm_equivalence_check(RadialProfile(u_even, g, dim=3), 1.0)
 
 
 # ------------------------------------------------ dyadic Sobolev sample suite
