@@ -39,7 +39,7 @@ def check(label, expr):
 
 
 # ---------------------------------------------------------------------------
-# u-form residuals, written exactly as models.rhs_u solves them
+# u-form residuals, written exactly as rhs_u in tests/uform.py solves them
 # ---------------------------------------------------------------------------
 
 def u_residual(kind, U):

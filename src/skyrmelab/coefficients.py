@@ -77,9 +77,6 @@ def _plan(ids):
     """One id set's plan, built once: its Horner columns, highest degree first
     and zero-padded at the top (the leading zeros leave every sum unchanged),
     and the rows that take an extra factor u (odd) or alpha^2 (scaled)."""
-    for i in ids:
-        if i not in _SERIES:
-            raise DomainError(f"coefficient id must be in 1..6, got {i}")
     table = np.zeros((len(ids), max(_SERIES[i][1].size for i in ids)))
     for row, i in zip(table, ids):
         row[:_SERIES[i][1].size] = _SERIES[i][1]
@@ -131,12 +128,11 @@ def _coefficients(ids, u, alpha=None):
 
     The branch holding most samples runs on the whole array, the other on the
     gathered rest, written back row by row.  Every step is elementwise, so a
-    sample gets the same bits alone as in any batch.  No finiteness check:
-    NaN propagates, which the solver relies on.  Ids 2, 3, 4 need alpha.
+    sample gets the same bits alone as in any batch.  No check: NaN
+    propagates, which the solver relies on, and tilde_h and ModelSpec
+    validate the ids and the alpha that ids 2, 3, 4 need.
     """
     plan = _plan(tuple(ids))
-    if plan.scaled and alpha is None:
-        raise DomainError(f"coefficient {plan.ids[plan.scaled[0]]} needs alpha")
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
     small = np.abs(flat) < SERIES_SWITCH

@@ -1,13 +1,14 @@
-"""Uniform radial mesh, parity-aware 4th-order stencil operators, and radial quadrature.
+"""Uniform radial mesh, 4th-order stencil operators for even fields, and radial quadrature.
 
 The axis r = 0 is a coordinate singularity, not a physical boundary: fields
 are smooth functions of x in R^5 restricted to a ray, so they extend across
-r = 0 with definite parity (v and v_tt even, v_r odd).  The stencil
-operators are built once, at import, with that reflection folded in: the
-rows of nodes 0 and 1 read f(-k dr) = +-f(k dr) from node k.  That keeps the
-centered stencils usable down to j = 0 and, because the odd Taylor
-coefficients of an even field vanish, keeps the truncation error O(dr^4)
-uniformly up to the axis even in the (4/r) v_r term.
+r = 0 with definite parity (v and v_tt even, v_r odd).  The solver
+differentiates only even fields, so the stencil operators are built once, at
+import, with the even reflection folded in: the rows of nodes 0 and 1 read
+f(-k dr) = f(k dr) from node k.  That keeps the centered stencils usable
+down to j = 0 and, because the odd Taylor coefficients of an even field
+vanish, keeps the truncation error O(dr^4) uniformly up to the axis even in
+the (4/r) v_r term.
 
 The outer edge has no parity to exploit; the rows of the last two nodes are
 one-sided/biased 4th-order closures.  The operators hold the integer stencil
@@ -39,21 +40,20 @@ _D2_EDGE = ((range(-4, 2), (1.0, -6.0, 14.0, -4.0, -15.0, 10.0)),
 
 
 class _Operator:
-    """Stencils with integer weights for fields of one parity, one output row each.
+    """Stencils with integer weights for even fields, one output row each.
 
     The centered band serves nodes 2..N-2 through slices.  The other rows
     form one small block: nodes 0 and 1 read their samples at r < 0 from the
-    mirror nodes with the parity's sign, nodes N-1 and N carry the edge
-    closures (columns counted from the end).  Every sum runs in stencil
-    order, term by term, as a ghost-extended stencil would.
+    mirror nodes, nodes N-1 and N carry the edge closures (columns counted
+    from the end).  Every sum runs in stencil order, term by term, as a
+    ghost-extended stencil would.
     """
 
-    def __init__(self, parity, *stencils):
+    def __init__(self, *stencils):
         self.bands = [centered for centered, _ in stencils]
         rows = []
         for (offsets, weights), edges in stencils:
-            rows += [[(abs(j + o), w * parity.value if j + o < 0 else w)
-                      for o, w in zip(offsets, weights)] for j in (0, 1)]
+            rows += [[(abs(j + o), w) for o, w in zip(offsets, weights)] for j in (0, 1)]
             rows += [[(end + o, w) for o, w in zip(offs, ws)]
                      for end, (offs, ws) in zip((-2, -1), edges)]
         width = max(map(len, rows))
@@ -77,9 +77,8 @@ class _Operator:
         return out
 
 
-_D1_EVEN = _Operator(Parity.EVEN, (_D1, _D1_EDGE))
-_D1_ODD = _Operator(Parity.ODD, (_D1, _D1_EDGE))
-_D12_EVEN = _Operator(Parity.EVEN, (_D1, _D1_EDGE), (_D2, _D2_EDGE))
+_D1_EVEN = _Operator((_D1, _D1_EDGE))
+_D12_EVEN = _Operator((_D1, _D1_EDGE), (_D2, _D2_EDGE))
 
 
 @dataclass(frozen=True)
@@ -151,13 +150,10 @@ def _checked(f, g):
 
 
 def d_r(f, g):
-    """4th-order radial derivative; parity flips."""
-    values = _checked(f, g)
-    if f.parity is Parity.EVEN:
-        return FieldSamples(even_d_r(values, g), Parity.ODD)
-    f_r = _D1_ODD(values)[0]
-    f_r /= 12.0 * g.dr
-    return FieldSamples(f_r, Parity.EVEN)
+    """4th-order radial derivative of an even field, which is odd."""
+    if f.parity is not Parity.EVEN:
+        raise ContractError("d_r acts on even fields")
+    return FieldSamples(even_d_r(_checked(f, g), g), Parity.ODD)
 
 
 def laplacian5(f, g):

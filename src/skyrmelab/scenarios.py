@@ -10,7 +10,7 @@ certified small-data regime and get no global-existence expectations.
 import math
 from pathlib import Path
 
-from .config import initial_state, parse_config
+from .config import initial_state, parse_config, parse_finite
 from .errors import ConfigError
 from .grid import radial_integral
 from .spectral import SPHERE_AREA, RadialProfile, besov_norm
@@ -58,7 +58,7 @@ def data_size(cfg):
 
 
 def smallness_gate():
-    """Recorded gate constants as a dict; keys match the file's keys."""
+    """Recorded gate constants, keyed as in the file: profile as text, the rest finite floats."""
     out = {}
     for ln in _GATE_FILE.read_text().splitlines():
         ln = ln.split("#", 1)[0].strip()
@@ -67,9 +67,9 @@ def smallness_gate():
         key, _, value = ln.partition("=")
         key, value = key.strip(), value.strip()
         try:
-            out[key] = float(value)
+            out[key] = value if key == "profile" else parse_finite(value)
         except ValueError:
-            out[key] = value
+            raise ConfigError(f"{_GATE_FILE}: {key} must be a finite number, got {value!r}") from None
     for key in ("profile", "besov_value", "l2_value", *_GATE_MEASURE):
         if key not in out:
             raise ConfigError(f"{_GATE_FILE}: gate file lacks {key}=")

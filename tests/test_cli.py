@@ -83,6 +83,16 @@ def test_run_missing_file_exits_3(outroot, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_run_into_an_unwritable_output_root_exits_3(tmp_path, monkeypatch, capsys):
+    # a regular file where the output root should be: unlike a chmod, this stops root too
+    blocker = tmp_path / "out"
+    blocker.write_text("")
+    monkeypatch.setenv("SKYRMELAB_OUT", str(blocker))
+    rc = main(["run", write_cfg(tmp_path, TINY)])
+    assert rc == 3
+    assert f"i/o error: cannot write run artifacts under {blocker / 'tiny'}" in capsys.readouterr().err
+
+
 def test_run_accepts_shipped_scenario_names(outroot, capsys):
     rc = main(["run", "free-wave-convergence"])
     assert rc == 0
@@ -140,6 +150,30 @@ def test_sweep_partial_failure_recorded_and_continues(outroot, tmp_path, capsys)
     statuses = [row.split(",")[2] for row in lines[1:]]
     assert statuses[0] == "ok" and statuses[2] == "ok"
     assert statuses[1].startswith("error:")
+
+
+def test_sweep_rows_whose_checks_fail_are_check_failed(outroot, tmp_path, capsys):
+    text = TINY.replace("energy_drift_max = 1e-2", "sup_u_max = 1e-9")
+    rc = main(["sweep", write_cfg(tmp_path, text), "--axis", "data.amplitude=0.1,0.2"])
+    assert rc == 1
+    lines = (outroot / "case-sweep" / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [(row["status"], row["checks_failed"]) for row in rows] == [("check-failed", "1")] * 2
+
+
+def test_sweep_axis_key_without_section_means_run(outroot, tmp_path, capsys):
+    rc = main(["sweep", write_cfg(tmp_path, TINY), "--axis", "T=0.1,0.2"])
+    assert rc == 0
+    lines = (outroot / "case-sweep" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [["run.T", "0.1", "ok"],
+                                                          ["run.T", "0.2", "ok"]]
+
+
+def test_sweep_axis_without_values_exits_2(outroot, tmp_path, capsys):
+    rc = main(["sweep", write_cfg(tmp_path, TINY), "--axis", "data.amplitude"])
+    assert rc == 2
+    assert "--axis wants section.key=v1,v2,..." in capsys.readouterr().err
 
 
 def test_sweep_single_value_axis_rejected(outroot, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Coefficient functions: frozen high-precision oracles, parity, signs, switch continuity."""
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from skyrmelab import coefficients
 from skyrmelab.coefficients import (
     SERIES_SWITCH,
     SINC,
@@ -213,6 +215,20 @@ def test_sin_inequality_bounds():
         rep = check_sin_inequality(alpha)
         for j in (0, 1, 2):
             assert rep.sampled_sup[j] <= rep.analytic_bound[j] * (1 + 1e-12)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            check_sin_inequality(alpha)
+
+
+def test_series_table_with_a_gap_is_refused(tmp_path, monkeypatch):
+    shipped = (resources.files("skyrmelab") / "data" / "series_constants.txt").read_text()
+    assert "\n1 4 " in shipped
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "series_constants.txt").write_text(
+        "".join(ln + "\n" for ln in shipped.splitlines() if not ln.startswith("1 4 ")))
+    monkeypatch.setattr(coefficients.resources, "files", lambda package: tmp_path)
+    with pytest.raises(DomainError, match=r"coefficient 1 has gaps: \[0, 2, 6,"):
+        coefficients._load_series_table()
         assert rep.sampled_sup[0] > 0.99  # bound j=0 is tight as sin(u)/r -> 0
     rep = check_sin_inequality(1.0)
     assert rep.analytic_bound[2] == pytest.approx(0.5)

@@ -1,13 +1,13 @@
 """Config parsing: defaults, validation, error accumulation, data builders."""
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skyrmelab.config import DataSpec, ExpectSpec, RunConfig, initial_state, parse_config
-from skyrmelab.errors import ConfigError
+from skyrmelab.errors import ConfigError, DomainError
 from skyrmelab.exact import exact_free_wave_5d, GaussianProfile, turok_spergel_collapse_data
 from skyrmelab.models import Kind
 from skyrmelab import scenarios
@@ -164,6 +164,25 @@ def test_gate_file_must_match_what_data_size_measures(tmp_path, monkeypatch):
         scenarios.smallness_gate()
 
 
+@pytest.mark.parametrize("key,bad", [("besov_value", "nan"), ("l2_value", "inf"),
+                                     ("besov_p", "two")])
+def test_gate_file_values_must_be_finite_numbers(tmp_path, monkeypatch, key, bad):
+    shipped = scenarios._GATE_FILE.read_text()
+    gate = tmp_path / "gate.txt"
+    gate.write_text("".join(f"{key} = {bad}\n" if ln.startswith(f"{key} =") else ln + "\n"
+                            for ln in shipped.splitlines()))
+    assert f"{key} = {bad}\n" in gate.read_text()
+    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
+    with pytest.raises(ConfigError) as e:
+        scenarios.smallness_gate()
+    assert str(e.value) == f"{gate}: {key} must be a finite number, got {bad!r}"
+
+
+def test_unknown_scenario_name_is_a_config_error():
+    with pytest.raises(ConfigError, match="no shipped scenario named 'nope'; available: .*skyrme-small"):
+        load_scenario("nope")
+
+
 def test_gaussian_data_symmetrized_off_axis():
     cfg = parse_config("[run]\nN = 64\nR = 10\n"
                        "[data]\nfamily = gaussian\namplitude = 0.4\ncenter = 2.0\n")
@@ -188,6 +207,14 @@ def test_free_wave_data_family():
     prof = GaussianProfile(amplitude=1.0, width=1.0, center=3.0)
     want = exact_free_wave_5d(prof, 0.0, st.grid.nodes)
     assert np.allclose(st.v, want, rtol=0, atol=1e-15)
+
+
+def test_unhandled_data_family_is_a_domain_error():
+    # parse_config admits only DATA_FAMILIES; a family set after parsing still gets a message
+    cfg = parse_config("[run]\nN = 64\nR = 10\n")
+    cfg = replace(cfg, data=replace(cfg.data, family="bogus"))
+    with pytest.raises(DomainError, match="unhandled data family 'bogus'"):
+        initial_state(cfg)
 
 
 def test_defaults_are_runnable_dataclass():

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from skyrmelab.errors import DomainError
 from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel, turok_spergel_collapse_data
-from skyrmelab.models import Kind, ModelSpec, rhs_u
+from skyrmelab.models import Kind, ModelSpec
+from uform import rhs_u
 
 # frozen 50-digit oracle for the default profile (amplitude 1, width 1, center 3)
 FREE_WAVE_ORACLE = [
@@ -36,6 +37,9 @@ def test_turok_spergel_values():
 def test_turok_spergel_rejects_collapse_time():
     with pytest.raises(DomainError):
         turok_spergel(0.0, 1.0)
+    for t0 in (0.0, -1.0):
+        with pytest.raises(DomainError, match="t0 must be positive"):
+            turok_spergel_collapse_data(t0, np.linspace(0.0, 1.0, 5))
 
 
 @given(st.floats(min_value=0.1, max_value=10), st.floats(min_value=1e-4, max_value=50))

@@ -1,10 +1,10 @@
-"""Stencil exactness, parity handling, refinement orders, quadrature oracles."""
+"""Stencil exactness, even-field contract, refinement orders, quadrature oracles."""
 import math
 
 import numpy as np
 import pytest
 
-from skyrmelab.errors import ConfigError, ContractError
+from skyrmelab.errors import ConfigError, ContractError, DomainError
 from skyrmelab.grid import FieldSamples, Parity, RadialGrid, d_r, laplacian5, radial_integral
 
 
@@ -44,10 +44,10 @@ def test_d_r_polynomial_exactness():
     assert np.max(np.abs(got4.values - (4 * g.nodes**3 - 6 * g.nodes))) <= 1e-10
 
 
-def _ghost_stencil(values, sign, centered, edges):
-    """Reference: ghost-extended stencil summed term by term in stencil order."""
+def _ghost_stencil(values, centered, edges):
+    """Reference: even ghost extension, summed term by term in stencil order."""
     n = values.size
-    ext = np.concatenate([sign * values[2:0:-1], values])
+    ext = np.concatenate([values[2:0:-1], values])
     out = np.zeros(n)
     for k, w in enumerate(centered):
         if w != 0.0:
@@ -71,17 +71,14 @@ def test_stencils_sum_like_the_ghost_extended_reference(n):
     rng = np.random.default_rng(n)
     f = rng.standard_normal(n + 1)
     h = g.dr
-    d1 = _ghost_stencil(f, 1.0, *D1_REF) / (12.0 * h)
+    d1 = _ghost_stencil(f, *D1_REF) / (12.0 * h)
     d1[0] = 0.0
-    d2 = _ghost_stencil(f, 1.0, *D2_REF) / (12.0 * h**2)
+    d2 = _ghost_stencil(f, *D2_REF) / (12.0 * h**2)
     assert np.array_equal(d_r(FieldSamples(f, Parity.EVEN), g).values, d1)
     lap = d2.copy()
     lap[1:] += 4.0 * d1[1:] / g.nodes[1:]
     lap[0] *= 5.0
     assert np.array_equal(laplacian5(FieldSamples(f, Parity.EVEN), g).values, lap)
-    f[0] = 0.0
-    odd = _ghost_stencil(f, -1.0, *D1_REF) / (12.0 * h)
-    assert np.array_equal(d_r(FieldSamples(f, Parity.ODD), g).values, odd)
 
 
 def test_d_r_constant_is_zero():
@@ -90,12 +87,10 @@ def test_d_r_constant_is_zero():
     assert np.all(got.values == 0.0)
 
 
-def test_d_r_odd_input():
+def test_d_r_rejects_odd():
     g = RadialGrid(math.pi, 256)
-    f = FieldSamples(np.sin(g.nodes), Parity.ODD)
-    got = d_r(f, g)
-    assert got.parity is Parity.EVEN
-    assert np.max(np.abs(got.values - np.cos(g.nodes))) <= 5e-8
+    with pytest.raises(ContractError, match="even"):
+        d_r(FieldSamples(np.sin(g.nodes), Parity.ODD), g)
 
 
 def test_refinement_order_d_r():
@@ -139,6 +134,17 @@ def test_laplacian5_rejects_odd():
     f = FieldSamples(np.zeros(33), Parity.ODD)
     with pytest.raises(ContractError):
         laplacian5(f, g)
+
+
+def test_checked_forms_refuse_bad_samples():
+    g = RadialGrid(4.0, 32)
+    for op in (d_r, laplacian5):
+        with pytest.raises(ContractError, match=r"field has \(32,\) samples, grid wants 33"):
+            op(FieldSamples(np.zeros(32), Parity.EVEN), g)
+        with pytest.raises(DomainError, match="non-finite field samples"):
+            op(FieldSamples(np.full(33, np.nan), Parity.EVEN), g)
+    with pytest.raises(ContractError, match=r"field has \(34,\) samples, grid wants 33"):
+        radial_integral(np.zeros(34), g)
 
 
 def test_radial_integral_exact_cubic():

@@ -11,11 +11,10 @@ from skyrmelab.models import (
     ALPHA_KINDS,
     Kind,
     ModelSpec,
-    energy_density,
     energy_density_v,
-    rhs_u,
     _neg_nonlinearity,
 )
+from uform import energy_density, rhs_u
 
 ALL_KINDS = list(Kind)
 NONLINEAR = [Kind.WAVE_MAP, Kind.SKYRME, Kind.ADKINS_NAPPI, Kind.SKYRME_APPROX, Kind.ADKINS_NAPPI_APPROX]

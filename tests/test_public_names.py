@@ -17,12 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "skyrmelab").glob("*.py"))
 READERS = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
-# module.name -> why it stays without a reader; an entry that gains a reader fails
-ALLOWED = {
-    "models.energy_density": "the u-form energy density, the reference that "
-                             "test_models checks energy_density_v against",
-}
-
 
 def reads(tree, skip=None):
     """Names that tree reads; the subtree skip is not searched."""
@@ -74,5 +68,4 @@ def reader_trees():
 def test_every_public_name_is_read(path):
     trees = reader_trees()
     others = [reads(tree) for p, tree in trees.items() if p != path]
-    allowed = {key.partition(".")[2] for key in ALLOWED if key.partition(".")[0] == path.stem}
-    assert set(unread_names(trees[path], others)) == allowed
+    assert unread_names(trees[path], others) == []

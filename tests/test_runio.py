@@ -64,6 +64,13 @@ def test_trace_rejects_non_numeric_cell(tmp_path):
         read_trace(bad)
 
 
+def test_trace_rejects_a_row_with_the_wrong_cell_count(tmp_path):
+    bad = tmp_path / "x.csv"
+    bad.write_text(",".join(TRACE_COLUMNS) + "\n0,1,2,3,nan,nan,0\n0.5,1,2,3,nan,0\n")
+    with pytest.raises(ConfigError, match="malformed trace rows"):
+        read_trace(bad)
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = parse_config(SMALL, name="tiny")
     r1 = run_scenario(cfg, outdir=tmp_path / "a")
@@ -102,6 +109,31 @@ def test_snapshot_row_count_enforced(tmp_path):
     lines = p.read_text().splitlines()
     p.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ConfigError):
+        read_snapshot(p)
+
+
+def test_snapshot_tolerates_blank_lines(tmp_path):
+    g = RadialGrid(4.0, 8)
+    v = np.exp(-g.nodes**2)
+    st = FieldState(0.5, v, -v, g, ModelSpec(Kind.WAVE_MAP))
+    p = write_snapshot(tmp_path / "s.snap", st)
+    p.write_text("\n" + p.read_text().replace("\n", "\n\n  \n"))
+    back = read_snapshot(p)
+    assert np.array_equal(back.v, st.v) and np.array_equal(back.vt, st.vt)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("\n0 1 0\n", "\n0 1\n", "snapshot rows must be 'r v vt'"),
+    ("\n0.5 ", "\n0.5000001 ", "radius column does not match a uniform grid"),
+], ids=["two-cells", "radius-off-grid"])
+def test_snapshot_body_validation(tmp_path, old, new, message):
+    g = RadialGrid(4.0, 8)
+    st = FieldState(0.0, np.exp(-g.nodes**2), np.zeros(9), g, ModelSpec(Kind.WAVE_MAP))
+    p = write_snapshot(tmp_path / "s.snap", st)
+    text = p.read_text()
+    assert old in text
+    p.write_text(text.replace(old, new, 1))
+    with pytest.raises(ConfigError, match=message):
         read_snapshot(p)
 
 

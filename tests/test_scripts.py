@@ -4,7 +4,8 @@ verify_algebra_symbolic.py audits the hand-coded model algebra and must exit
 0.  generate_series_constants.py is loaded by path, without calling its main
 (which rewrites the table), and must reproduce the shipped Taylor table.
 Both need sympy.  verify_records.py must find no move between a suite's
-records and themselves, and must report one it is shown.
+records and themselves, and must report one it is shown.  line_coverage.py's
+tracer must name the one line of a fixture module that did not run.
 """
 import importlib.util
 import json
@@ -28,12 +29,17 @@ def test_symbolic_algebra_audit_exits_0():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def load(path, name):
+    """The module at path, loaded without running its __main__ block."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_series_constants_match_their_generator():
     pytest.importorskip("sympy")
-    path = SCRIPTS / "generate_series_constants.py"
-    spec = importlib.util.spec_from_file_location("generate_series_constants", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load(SCRIPTS / "generate_series_constants.py", "generate_series_constants")
     table = Path(skyrmelab.__file__).parent / "data" / "series_constants.txt"
     want = [ln for ln in table.read_text().splitlines() if not ln.startswith("#")]
     got = [ln for cid, expr in gen.BASES.items() for ln in gen.taylor_lines(cid, expr)]
@@ -65,3 +71,19 @@ def test_verify_records_diff_reports_each_moved_record(tmp_path):
     assert diff.returncode == 1
     assert diff.stdout == ("grid-calculus/odd_fields_vanish_at_axis: 1.0 -> 0.5 "
                            "(relative change 0.5)\n")
+
+
+def test_line_coverage_names_the_one_line_that_did_not_run(tmp_path):
+    tool = load(SCRIPTS / "line_coverage.py", "line_coverage")
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text("def sign(x):\n"
+                       "    if x < 0:\n"
+                       "        return -1\n"
+                       "    return 1\n"
+                       "\n"
+                       "\n"
+                       "VALUE = sign(2)\n")
+    assert tool.executable_lines(fixture) == {1, 2, 3, 4, 7}
+    value, missed = tool.unreached([fixture], lambda: load(fixture, "fixture").VALUE)
+    assert value == 1
+    assert missed == {str(fixture): [3]}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from skyrmelab import solver
-from skyrmelab.errors import ConfigError
+from skyrmelab.errors import ConfigError, DomainError
 from skyrmelab.exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
 from skyrmelab.grid import RadialGrid, _simpson, even_d_r, radial_integral
 from skyrmelab.models import ALPHA_KINDS, Kind, ModelSpec, energy_density_v
@@ -23,6 +23,7 @@ from skyrmelab.solver import (
     scattering_deficit,
     step_rk4,
     sup_abs_u,
+    sup_abs_u_r,
     total_energy,
 )
 
@@ -222,11 +223,16 @@ def test_no_blowup_report_on_quiet_run():
     assert rep.t_star_estimate == math.inf
 
 
-def test_hard_stop_on_runaway_state():
+def runaway_state():
+    # sup|v| passes HARD_SUP within the first step, so any run of it blows up at once
     g = RadialGrid(10.0, 64)
-    v0 = 1e7 * np.exp(-(g.nodes**2))
-    st = FieldState(0.0, v0, np.zeros(g.N + 1), g, ModelSpec(Kind.ADKINS_NAPPI_APPROX))
-    tr = integrate(st, 0.5 * g.dr, 1.0, cadence=4)
+    return FieldState(0.0, 1e7 * np.exp(-(g.nodes**2)), np.zeros(g.N + 1), g,
+                      ModelSpec(Kind.ADKINS_NAPPI_APPROX))
+
+
+def test_hard_stop_on_runaway_state():
+    st = runaway_state()
+    tr = integrate(st, 0.5 * st.grid.dr, 1.0, cadence=4)
     assert tr.blew_up
     assert tr.rows[-1].blowup_flag == 1
     assert tr.final_state.t < 1.0
@@ -249,6 +255,41 @@ def test_hard_stop_on_huge_data(model):
     assert all(math.isnan(getattr(last, name)) for name in
                ("total_energy", "sup_abs_u", "sup_abs_u_r", "lightcone_energy", "deficit"))
     assert tr.final_state.t == dt
+
+
+def test_blown_up_runs_are_domain_errors_where_a_value_is_measured():
+    st = runaway_state()
+    dt = 0.5 * st.grid.dr
+    with pytest.raises(DomainError, match="blow-up before the handoff time"):
+        scattering_deficit(st, dt, 0.5, 1.0)
+    with pytest.raises(DomainError, match="blow-up before the measurement time"):
+        scattering_deficit(st, dt, 0.0, 1.0)
+    with pytest.raises(DomainError, match="blow-up during the N=64 run"):
+        convergence_study(lambda g: (st.v, st.vt), st.model, [64, 128, 256], 10.0, 1.0)
+
+
+def test_blowup_report_of_a_trace_with_no_finite_row():
+    trace = DiagnosticsTrace(rows=[TraceRow(0.1, *[math.nan] * 5, 1)], blew_up=True)
+    rep = detect_blowup(trace)
+    assert all(math.isnan(x) for x in
+               (rep.t_star_estimate, rep.growth_factor, rep.profile_fit_error))
+
+
+def test_convergence_study_of_exact_zero_errors_has_infinite_order():
+    def data(grid):
+        z = np.zeros(grid.N + 1)
+        return z, z
+
+    rep = convergence_study(data, FREE, [16, 32, 64], 10.0, 0.5)
+    assert rep.errors == [0.0, 0.0]
+    assert rep.orders == [math.inf] and rep.observed_order == math.inf
+
+
+def test_sup_abs_u_r_differentiates_when_not_given_v_r():
+    g = RadialGrid(6.0, 128)
+    st = gaussian_state(g, FREE, amplitude=1.0)
+    # u_r = (1 - 2 r^2) exp(-r^2) peaks at the axis, where it is v(0) = 1
+    assert sup_abs_u_r(st) == sup_abs_u_r(st, v_r=even_d_r(st.v, g)) == 1.0
 
 
 def test_integrate_rejects_bad_dt():

@@ -416,6 +416,18 @@ def test_gaussian_gamma_oracle(dim, s):
     assert got == pytest.approx(want, rel=1e-10)  # the quadrature is spectral
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_gaussian_gamma_oracle_at_a_small_radius(dim):
+    # at R = 2 no row of a norm's quadrature panels reaches past x = 2 far
+    # enough to split off a far field; a Gaussian of width w scales the
+    # closed form by w^(n - 2s)
+    g, w = RadialGrid(2.0, 256), 0.2
+    p = RadialProfile(np.exp(-g.nodes**2 / (2.0 * w * w)), g, dim)
+    for s in (0.0, 1.0, 1.5, 2.0, 2.5):
+        want = SPHERE_AREA[dim] * gamma(s + dim / 2.0) / 2.0 * w ** (dim - 2.0 * s)
+        assert sobolev_norm(p, s) ** 2 == pytest.approx(want, rel=1e-13)
+
+
 def test_sobolev_domain_guard():
     p = gauss_profile(3)
     with pytest.raises(DomainError):
@@ -580,6 +592,13 @@ def test_scale_guards():
     for lam in (0.0, -2.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="scaling factor must be positive and finite"):
             scale(p, lam, 1.0)
+    undecayed = RadialProfile(np.exp(-G64.nodes / 16.0), G64, dim=3)
+    assert not undecayed.decay_certified
+    with pytest.warns(RuntimeWarning) as caught:
+        scale(undecayed, 0.5, 1.0)
+    assert [str(w.message) for w in caught] == [
+        "contraction pushes unresolved tail mass off the grid",
+        "profile tail is not negligible; transform accuracy degrades"]
 
 
 # ------------------------------------------------ dyadic Sobolev sample suite

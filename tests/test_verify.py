@@ -2,14 +2,14 @@
 
 The time stepping behind criteria 4-8 and 11 is stubbed, so these tests see
 which reports each suite yields, not what they measure (test_acceptance.py
-does that).
+does that), and that criteria 7 and 8 refuse a run that blew up.
 """
 from types import SimpleNamespace
 
 import pytest
 
 from skyrmelab import verify
-from skyrmelab.errors import ConfigError
+from skyrmelab.errors import ConfigError, DomainError
 from skyrmelab.runio import ScenarioReport
 from skyrmelab.solver import DiagnosticsTrace, TraceRow
 
@@ -68,3 +68,16 @@ def test_suite_names():
     assert sorted(verify.SUITES) == sorted(BY_SUITE)
     with pytest.raises(ConfigError):
         verify.run_suite("everything")
+
+
+@pytest.mark.parametrize("criterion,message", [
+    (verify.cubic_smallness_scaling, "blow-up of the amplitude-0.2 run"),
+    (verify.scattering_trend, "blow-up before the handoff time"),
+], ids=["criterion-7", "criterion-8"])
+def test_a_blown_up_run_is_a_domain_error(monkeypatch, criterion, message):
+    monkeypatch.setattr(verify, "integrate", lambda state, dt, T, **kw: DiagnosticsTrace(
+        rows=[TraceRow(T, *[float("nan")] * 5, 1)], blew_up=True, final_state=state))
+    monkeypatch.setattr(verify, "scattering_deficit",
+                        lambda *a, **k: SimpleNamespace(deficit=1.0))
+    with pytest.raises(DomainError, match=message):
+        criterion()
