@@ -4,9 +4,10 @@
 
 Runs pytest on tests/ in this process under a sys.settrace tracer, so it
 needs only the standard library.  A line is executable when the compiler
-gives it an instruction (code.co_lines).  Lines that ALLOWED names are not
-reported; an allowance whose line runs or no longer exists is reported as
-stale.  Exits 0 when nothing else is unreached and the tests pass, 1
+gives it an instruction (code.co_lines).  Each entry of ALLOWED excuses one
+unreached line, named by file, function and text; a second unreached line with
+the same name is reported, and an allowance whose line runs or no longer exists
+is reported as stale.  Exits 0 when nothing else is unreached and the tests pass, 1
 otherwise.  The tracer slows the suite down, which is why Tier-1 does not
 run this.
 """
@@ -19,30 +20,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "skyrmelab"
 
-# (module file name, stripped source line) -> why no Tier-1 test runs it; keyed
-# by text rather than line number, so that edits elsewhere in a file keep it
+# (module file name, qualified name of the enclosing function, stripped source
+# line) -> why no Tier-1 test runs it; keyed by text rather than line number, so
+# that edits elsewhere in a file keep it
 ALLOWED = {
-    ("solver.py", 'raise DomainError("non-finite field samples")'):
+    ("solver.py", "_rhs", 'raise DomainError("non-finite field samples")'):
         "_rhs's guard; huge data reach it, and the benchmark's self-test expects that "
         "DomainError until blow-up becomes a flag there too (ROADMAP item 3)",
-    ("verify.py", "signs_ok = False"):
+    ("verify.py", "coefficient_bounds_suite", "signs_ok = False"):
         "the failure branch of a check that passes; only fault injection reaches it",
-    ("verify.py", "ok = False"):
+    ("verify.py", "grid_calculus_checks", "ok = False"):
         "the failure branch of a check that passes; only fault injection reaches it",
-    ("cli.py", "sys.exit(main())"):
+    ("cli.py", "<module>", "sys.exit(main())"):
         "runs only when the module is executed as a script",
 }
 
 
 def executable_lines(path):
-    """Line numbers that carry an instruction in the module or any code nested in it."""
-    lines = set()
+    """{line number: qualified name of the innermost code that owns it} over the
+    lines that carry an instruction in the module or any code nested in it."""
+    owners = {}
     stack = [compile(Path(path).read_text(), str(path), "exec")]
     while stack:
         code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        owners.update((line, code.co_qualname) for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    return lines
+    return owners
 
 
 def lines_run(paths, fn):
@@ -78,7 +81,7 @@ def unreached(paths, fn):
     """fn's result and {path: sorted executable lines that never ran}, leaving out
     the files whose every line ran."""
     result, seen = lines_run(paths, fn)
-    missed = {str(p): sorted(executable_lines(p) - seen[str(p)]) for p in paths}
+    missed = {str(p): sorted(executable_lines(p).keys() - seen[str(p)]) for p in paths}
     return result, {p: lines for p, lines in missed.items() if lines}
 
 
@@ -93,16 +96,18 @@ def main(argv):
     count = 0
     for path in paths:
         source = path.read_text().splitlines()
+        owners = executable_lines(path)
         for line in missed.get(str(path), ()):
             text = source[line - 1].strip()
-            if (path.name, text) in ALLOWED:
-                allowed_hits.add((path.name, text))
+            key = (path.name, owners[line], text)
+            if key in ALLOWED and key not in allowed_hits:
+                allowed_hits.add(key)
                 continue
             count += 1
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
     stale = sorted(set(ALLOWED) - allowed_hits)
-    for name, text in stale:
-        print(f"stale allowance: {name}: {text}")
+    for name, owner, text in stale:
+        print(f"stale allowance: {name}: {owner}: {text}")
     total = sum(len(executable_lines(p)) for p in paths)
     print(f"{count} unreached of {total} executable lines "
           f"({len(allowed_hits)} allowed, {len(stale)} stale allowances)")

@@ -215,6 +215,9 @@ def test_sin_inequality_bounds():
         rep = check_sin_inequality(alpha)
         for j in (0, 1, 2):
             assert rep.sampled_sup[j] <= rep.analytic_bound[j] * (1 + 1e-12)
+        assert rep.sampled_sup[0] > 0.99  # bound j=0 is tight as sin(u)/r -> 0
+    rep = check_sin_inequality(1.0)
+    assert rep.analytic_bound[2] == pytest.approx(0.5)
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="alpha must be positive"):
             check_sin_inequality(alpha)
@@ -229,6 +232,3 @@ def test_series_table_with_a_gap_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(coefficients.resources, "files", lambda package: tmp_path)
     with pytest.raises(DomainError, match=r"coefficient 1 has gaps: \[0, 2, 6,"):
         coefficients._load_series_table()
-        assert rep.sampled_sup[0] > 0.99  # bound j=0 is tight as sin(u)/r -> 0
-    rep = check_sin_inequality(1.0)
-    assert rep.analytic_bound[2] == pytest.approx(0.5)
