@@ -27,8 +27,6 @@ ALLOWED = {
     ("solver.py", "_rhs", 'raise DomainError("non-finite field samples")'):
         "_rhs's guard; huge data reach it, and the benchmark's self-test expects that "
         "DomainError until blow-up becomes a flag there too (ROADMAP item 3)",
-    ("verify.py", "coefficient_bounds_suite", "signs_ok = False"):
-        "the failure branch of a check that passes; only fault injection reaches it",
     ("verify.py", "grid_calculus_checks", "ok = False"):
         "the failure branch of a check that passes; only fault injection reaches it",
     ("cli.py", "<module>", "sys.exit(main())"):

@@ -25,10 +25,11 @@ A model evaluates all the coefficients it needs through a plan built once
 per id set.  Each sample takes exactly one branch: the branch holding most
 samples runs on the whole array, the other on the gathered rest.  The series
 is one Horner sweep; the closed forms share sin 2u, sin u, cos u and 1/u^k.
+The sampled checks of their parity, signs, decay and the sine-ratio bounds
+are acceptance criterion 3, verify.coefficient_bounds_suite.
 """
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -171,86 +172,3 @@ def tilde_h(cid, u, alpha=None):
     out = _tilde_h_raw(cid, u_arr, alpha)
     return float(out) if np.ndim(u) == 0 else out
 
-
-# ---------------------------------------------------------------------------
-# sampled verification of the decay/sign/parity structure of c1..c6
-# ---------------------------------------------------------------------------
-
-# <u>^k decay weights per (id, derivative order); derivatives of c1 decay one
-# power faster than c1 itself
-DECAY_WEIGHTS = {
-    1: {0: 2, 1: 3, 2: 3},
-    2: {0: 3, 1: 3, 2: 3},
-    3: {0: 2, 1: 2, 2: 2},
-    4: {0: 1, 1: 1, 2: 1},
-    5: {0: 2, 1: 3, 2: 3},
-    6: {0: 4, 1: 4, 2: 4},
-}
-
-SIGN = {1: -1, 5: -1, 6: +1}  # c1 = c5 <= 0, c6 >= 0
-
-_FD_STEP = 1e-3
-# 6th-order central first/second derivative stencils
-_FD1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-
-
-@dataclass
-class CoeffBoundReport:
-    weighted_sup: dict  # derivative order -> sup |d^j c| <u>^k over samples
-    sign_ok: bool | None  # only for ids 1, 5, 6
-
-
-def _fd_derivative(cid, u, alpha, order):
-    if order == 0:
-        return tilde_h(cid, u, alpha)
-    stencil = _FD1 if order == 1 else _FD2
-    h = _FD_STEP
-    acc = np.zeros_like(np.asarray(u, dtype=float))
-    for k, w in enumerate(stencil):
-        if w != 0.0:
-            acc = acc + w * tilde_h(cid, u + (k - 3) * h, alpha)
-    return acc / h**order
-
-
-def check_coeff_bounds(cid, alpha=1.0):
-    """Sampled suprema of <u>^k-weighted coefficient derivatives plus sign verdicts.
-
-    The weights are the decay rates the coefficients are expected to satisfy;
-    the returned suprema are empirical constants, finite on any sample set.
-    """
-    tail = np.array([2.0**k for k in range(7, 21)])
-    u = np.concatenate([np.linspace(-100.0, 100.0, 100001), tail, -tail])
-    bracket = np.sqrt(1.0 + u * u)
-    weighted = {}
-    for order, k in DECAY_WEIGHTS[cid].items():
-        vals = np.abs(_fd_derivative(cid, u, alpha, order)) * bracket**k
-        weighted[order] = float(np.max(vals))
-    sign_ok = None
-    if cid in SIGN:
-        vals = tilde_h(cid, u, alpha)
-        sign_ok = bool(np.all(SIGN[cid] * vals >= -1e-15))
-    return CoeffBoundReport(weighted_sup=weighted, sign_ok=sign_ok)
-
-
-@dataclass
-class SinInequalityReport:
-    sampled_sup: dict  # j -> sup of |sin u / r|^j / (1 + 2 alpha^2 sin^2 u / r^2)
-    analytic_bound: dict
-
-
-def check_sin_inequality(alpha):
-    """Sampled ratios |sin u / r|^j / D for j in {0,1,2} against the analytic bounds.
-
-    The single-variable maxima of x^j/(1+2 alpha^2 x^2) give the exact bounds
-    1, 1/(2 sqrt(2) alpha) and 1/(2 alpha^2) for j = 0, 1, 2.
-    """
-    if alpha <= 0 or not np.isfinite(alpha):
-        raise DomainError("alpha must be positive")
-    r = np.logspace(-6, 3, 400)[:, None]
-    u = np.linspace(-20.0, 20.0, 801)[None, :]
-    x = np.abs(np.sin(u) / r)
-    denom = 1.0 + 2.0 * alpha * alpha * x * x
-    sampled = {j: float(np.max(x**j / denom)) for j in (0, 1, 2)}
-    analytic = {0: 1.0, 1: 1.0 / (2.0 * math.sqrt(2.0) * alpha), 2: 1.0 / (2.0 * alpha * alpha)}
-    return SinInequalityReport(sampled_sup=sampled, analytic_bound=analytic)

@@ -186,6 +186,8 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
         raise ConfigError("T must be >= 0")
     if T == math.inf:  # NaN fails the check above
         raise ConfigError("T must be finite")
+    if sup_window is not None and not sup_window > 0:
+        raise ConfigError(f"sup_window must be positive, got {sup_window}")
     n_steps = max(math.ceil(T / dt - 1e-12), 1) if T > 0 else 0
     dt_actual = T / n_steps if n_steps else 0.0
     if cadence <= 0:
@@ -215,7 +217,7 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
             sup_abs_u=sup_u,
             sup_abs_u_r=sup_ur,
             lightcone_energy=(lightcone_energy(state, lightcone_t0, v_r)
-                              if lightcone_t0 else math.nan),
+                              if lightcone_t0 is not None else math.nan),
             deficit=deficit,
             blowup_flag=0,
         )

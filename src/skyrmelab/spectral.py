@@ -46,8 +46,11 @@ Anal. 53 (2015), splits the Hankel transform the same way.
 Each profile keeps |fhat|^2 per quadrature node set, so the dyadic panels
 that sobolev_norm, the Besov shells and the truncation moment share, within
 one call or across calls, are transformed once.  It also keeps its forward
-weights and their prefix sums, built by its first norm for all its panels.
-These memos are why a profile holds a read-only copy of its samples.
+weights and their prefix sums, built by its first norm for all its panels,
+and its lattice spectrum, which every dyadic piece of it filters.  These
+memos are why a profile holds a read-only copy of its samples.  The sampled
+weighted dyadic Sobolev constants are acceptance criterion 12,
+verify.dyadic_sobolev_stability.
 """
 import functools
 import math
@@ -79,6 +82,7 @@ class RadialProfile:
     decay_certified: bool = field(init=False)
     _power: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     _moments: tuple = field(init=False, default=None, repr=False, compare=False)
+    _spectrum: "SpectralProfile" = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # a private read-only copy: decay_certified and the memos describe
@@ -331,13 +335,18 @@ def radial_fourier(p):
     """Transform onto the uniform frequency grid k pi/R, k = 1..N, up to Nyquist pi/dr.
 
     A spectrum truncated to its first m frequencies is
-    SpectralProfile(dim, fhat[:m], grid), and inverts as such.
+    SpectralProfile(dim, fhat[:m], grid), and inverts as such.  The profile
+    keeps its spectrum, with a read-only fhat: a second call returns it and
+    does not warn again.
     """
-    if not p.decay_certified:
-        warnings.warn("profile tail is not negligible; transform accuracy degrades",
-                      RuntimeWarning, stacklevel=2)
-    fhat = _lattice_matvec(p.dim, _forward_vector(p))[1:]
-    return SpectralProfile(p.dim, _SQRT_2_PI * fhat, p.grid)
+    if p._spectrum is None:
+        if not p.decay_certified:
+            warnings.warn("profile tail is not negligible; transform accuracy degrades",
+                          RuntimeWarning, stacklevel=2)
+        fhat = _SQRT_2_PI * _lattice_matvec(p.dim, _forward_vector(p))[1:]
+        fhat.flags.writeable = False
+        p._spectrum = SpectralProfile(p.dim, fhat, p.grid)
+    return p._spectrum
 
 
 def inverse_radial_fourier(sp):
@@ -461,15 +470,12 @@ def dyadic_band(grid):
     return tuple(2.0**j for j in range(j_lo, j_hi + 1))
 
 
-def dyadic_piece(p, lam, spectrum=None):
-    """Littlewood-Paley piece: multiply the transform by chi(rho/lam) and invert.
-
-    spectrum, if given, is radial_fourier(p), shared by pieces of one profile.
-    """
+def dyadic_piece(p, lam):
+    """Littlewood-Paley piece: multiply the transform by chi(rho/lam) and invert."""
     lo, hi = 2.0 * math.pi / p.grid.R, math.pi / p.grid.dr
     if not lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12):
         raise DomainError(f"lambda={lam} outside the resolvable band [{lo}, {hi}]")
-    sp = spectrum if spectrum is not None else radial_fourier(p)
+    sp = radial_fourier(p)
     filtered = SpectralProfile(sp.dim, sp.fhat * chi(sp.rho_nodes / lam), sp.grid)
     return inverse_radial_fourier(filtered)
 
@@ -514,9 +520,8 @@ def besov_norm(p, s, p_exp, q_exp):
                                     lo=lam / 2.0, hi=min(2.0 * lam, math.pi / p.grid.dr))
             pieces.append(math.sqrt(area * max(mass, 0.0)))
     else:
-        sp = radial_fourier(p)
         for lam in band:
-            piece = dyadic_piece(p, lam, spectrum=sp)
+            piece = dyadic_piece(p, lam)
             pieces.append(lam**s * lp_norm(piece, p_exp))
     b = np.array(pieces)
     if q_exp == math.inf:
@@ -557,61 +562,3 @@ def scale(p, lam, a):
         warnings.warn("dilated support does not fit the grid", RuntimeWarning,
                       stacklevel=2)
     return result
-
-
-@dataclass
-class DyadicSobolevReport:
-    constants: tuple
-
-    @property
-    def stability(self):
-        return max(self.constants) / min(self.constants)
-
-
-def _dyadic_check_family(grid):
-    """Radial test functions with spectral mass spread over several octaves."""
-    r = grid.nodes
-    profiles = []
-    for w in (0.25, 0.5, 1.0, 1.5, 2.0):
-        profiles.append(np.exp(-((r / w) ** 2)))
-        profiles.append(r**2 * np.exp(-((r / w) ** 2)))
-        profiles.append(np.exp(-((r / w) ** 2)) * np.cos(4.0 * r / w))
-    for c in (1.0, 2.0, 4.0, 8.0, 16.0):
-        profiles.append(np.exp(-(r**2)) * np.cos(c * r))
-    return profiles
-
-
-def radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp):
-    """Sampled constants of the weighted dyadic estimate, per frequency shell.
-
-    On RadialGrid(16, 512), for each shell projection S_lam, lam = 1, 2, 4,
-    8, 16, of each of the 20 profiles of _dyadic_check_family, forms
-    || r^(alpha(1/p-1/q)) S_lam phi ||_q / (lam^((n-alpha)(1/p-1/q)) ||phi||_p)
-    and keeps the per-lambda supremum over the family.  The estimate being
-    scale-correct means these constants should not drift with lambda.
-    """
-    if n not in SPHERE_AREA:
-        raise DomainError(f"n must be one of {sorted(SPHERE_AREA)}")
-    if not 0 <= alpha <= n - 1:
-        raise DomainError("alpha must lie in [0, n-1]")
-    if not 2 <= p_exp <= q_exp:
-        raise DomainError("exponents must satisfy 2 <= p <= q")
-    grid = RadialGrid(16.0, 512)
-    lambdas = (1.0, 2.0, 4.0, 8.0, 16.0)
-    family = [RadialProfile(v, grid, n) for v in _dyadic_check_family(grid)]
-    gap = alpha * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
-    rate = (n - alpha) * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
-    r = grid.nodes
-    constants = []
-    for lam in lambdas:
-        best = 0.0
-        for prof in family:
-            piece = dyadic_piece(prof, lam)
-            weighted = RadialProfile(r**gap * piece.values, grid, n)
-            lhs = lp_norm(weighted, q_exp)
-            rhs = lam**rate * lp_norm(prof, p_exp)
-            if rhs > 0:
-                best = max(best, lhs / rhs)
-        constants.append(best)
-    return DyadicSobolevReport(constants=tuple(constants))
-

@@ -2,9 +2,12 @@
 
 Each criterion function reruns its scenario from scratch and returns its
 checks, each carrying the measured value next to the required bound; nothing
-is cached between runs.  One table names each report once, with its
-criterion number and suite; CRITERIA, SUITES and the order of `all` are read
-from it, and one timer turns a criterion's checks into its ScenarioReport.
+is cached between runs.  A criterion that samples holds its sample sets
+itself (3: the coefficient decay, sign and sine-ratio samples; 12: the
+dyadic Sobolev test family), so it computes and judges its values in one
+function.  One table names each report once, with its criterion number and
+suite; CRITERIA, SUITES and the order of `all` are read from it, and one
+timer turns a criterion's checks into its ScenarioReport.
 The CLI's `verify` subcommand is a thin wrapper over run_suite.
 """
 import math
@@ -16,7 +19,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gamma
 
-from .coefficients import check_coeff_bounds, check_sin_inequality, tilde_h
+from .coefficients import tilde_h
 from .errors import ConfigError, DomainError
 from .exact import GaussianProfile, exact_free_wave_5d, turok_spergel
 from .grid import FieldSamples, Parity, RadialGrid, d_r, laplacian5, radial_integral
@@ -25,8 +28,8 @@ from .runio import CheckResult, ScenarioReport, output_root, run_scenario
 from .scenarios import data_size, load_scenario, smallness_gate
 from .solver import FieldState, convergence_study, integrate, scattering_deficit
 from .spectral import (SPHERE_AREA, RadialProfile, SpectralProfile, besov_norm, chi,
-                       dyadic_band, dyadic_piece, inverse_radial_fourier,
-                       radial_dyadic_sobolev_check, radial_fourier, scale, sobolev_norm)
+                       dyadic_band, dyadic_piece, inverse_radial_fourier, lp_norm,
+                       radial_fourier, scale, sobolev_norm)
 
 
 def _artifact_dir(name):
@@ -87,20 +90,43 @@ def coefficient_bounds_suite():
                      float(np.max(-tilde_h(6, u))))
     checks.append(CheckResult("signs_h1_h5_h6", sign_worst <= 1e-15, sign_worst, "<= 1e-15"))
 
+    # <u>^k decay weights per id, for derivative orders j = 0, 1, 2: the decay
+    # rates c1..c6 are expected to satisfy; derivatives of c1 decay one power
+    # faster than c1 itself.  j = 1, 2 by 6th-order central stencils
+    weights = {1: (2, 3, 3), 2: (3, 3, 3), 3: (2, 2, 2), 4: (1, 1, 1), 5: (2, 3, 3), 6: (4, 4, 4)}
+    d1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+    d2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+    h = 1e-3
+    tail = np.array([2.0**k for k in range(7, 21)])
+    wide = np.concatenate([np.linspace(-100.0, 100.0, 100001), tail, -tail])
+    bracket = np.sqrt(1.0 + wide * wide)
     bound_worst = 0.0
-    signs_ok = True
-    for cid in range(1, 7):
-        rep = check_coeff_bounds(cid, alpha=1.0)
-        bound_worst = max(bound_worst, max(rep.weighted_sup.values()))
-        if rep.sign_ok is False:
-            signs_ok = False
-    checks.append(CheckResult("weighted_suprema_finite",
-                              signs_ok and math.isfinite(bound_worst),
+    for cid, decay in weights.items():
+        for order, k in enumerate(decay):
+            if order == 0:
+                derivative = tilde_h(cid, wide, alpha=1.0)
+            else:
+                acc = np.zeros_like(wide)
+                for m, w in enumerate(d1 if order == 1 else d2):
+                    if w != 0.0:
+                        acc = acc + w * tilde_h(cid, wide + (m - 3) * h, alpha=1.0)
+                derivative = acc / h**order
+            bound_worst = max(bound_worst, float(np.max(np.abs(derivative) * bracket**k)))
+    # the suprema are empirical constants, finite on any sample set; and on
+    # these samples too c1 = c5 <= 0, c6 >= 0
+    signs_ok = all(np.all(sign * tilde_h(cid, wide) >= -1e-15)
+                   for cid, sign in ((1, -1), (5, -1), (6, 1)))
+    checks.append(CheckResult("weighted_suprema_finite", signs_ok and math.isfinite(bound_worst),
                               bound_worst, "finite, signs hold"))
 
-    rep = check_sin_inequality(1.0)
-    for j, bound in rep.analytic_bound.items():
-        value = rep.sampled_sup[j]
+    # |sin u / r|^j / (1 + 2 sin^2 u / r^2) for j = 0, 1, 2, sampled; the
+    # single-variable maxima of x^j/(1+2x^2) give the exact bounds 1,
+    # 1/(2 sqrt(2)) and 1/2
+    r = np.logspace(-6, 3, 400)[:, None]
+    x = np.abs(np.sin(np.linspace(-20.0, 20.0, 801)[None, :]) / r)
+    denom = 1.0 + 2.0 * x * x
+    for j, bound in enumerate((1.0, 1.0 / (2.0 * math.sqrt(2.0)), 0.5)):
+        value = float(np.max(x**j / denom))
         checks.append(CheckResult(f"sine_ratio_j{j}", value <= bound * (1 + 1e-12),
                                   value, f"<= {bound:g}"))
     return checks
@@ -239,10 +265,9 @@ def spectral_oracles():
     with warnings.catch_warnings():
         # band-limiting leaves harmless ringing at the grid edge
         warnings.simplefilter("ignore", RuntimeWarning)
-        sp_lim = radial_fourier(limited)
         recon = np.zeros_like(limited.values)
         for lam in band:
-            recon += dyadic_piece(limited, lam, spectrum=sp_lim).values
+            recon += dyadic_piece(limited, lam).values
     num = radial_integral((recon - limited.values) ** 2, g, 4)
     den = radial_integral(limited.values**2, g, 4)
     err = math.sqrt(num / den)
@@ -303,13 +328,39 @@ def supremum_vs_energy_trend():
 # --------------------------------------------------------------- criterion 12
 
 def dyadic_sobolev_stability():
-    """Sampled shell-sum constants stay within 2x across dilations."""
+    """Sampled shell-sum constants stay within 2x across dilations.
+
+    On RadialGrid(16, 512), for each shell projection S_lam, lam = 1, 2, 4,
+    8, 16, of each of 20 radial test functions, forms
+    || r^(alpha(1/p-1/q)) S_lam phi ||_q / (lam^((n-alpha)(1/p-1/q)) ||phi||_p)
+    and keeps the per-lambda supremum over the family.  The estimate being
+    scale-correct means these constants should not drift with lambda: the
+    check is their max over their min.
+    """
+    grid = RadialGrid(16.0, 512)
+    r = grid.nodes
+    family = []  # spectral mass spread over several octaves
+    for w in (0.25, 0.5, 1.0, 1.5, 2.0):
+        family.append(np.exp(-((r / w) ** 2)))
+        family.append(r**2 * np.exp(-((r / w) ** 2)))
+        family.append(np.exp(-((r / w) ** 2)) * np.cos(4.0 * r / w))
+    for c in (1.0, 2.0, 4.0, 8.0, 16.0):
+        family.append(np.exp(-(r**2)) * np.cos(c * r))
     checks = []
     for n, alpha, p_exp, q_exp in ((5, 4, 2, math.inf), (3, 2, 2, 4), (5, 0, 2, 4)):
-        rep = radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp)
-        q_tag = "inf" if math.isinf(q_exp) else f"{q_exp:g}"
-        checks.append(CheckResult(f"stability_n{n}_a{alpha}_p{p_exp}_q{q_tag}",
-                                  rep.stability <= 2.0, rep.stability, "<= 2.0"))
+        profiles = [RadialProfile(v, grid, n) for v in family]
+        gap = alpha * (1.0 / p_exp - 1.0 / q_exp)
+        rate = (n - alpha) * (1.0 / p_exp - 1.0 / q_exp)
+        constants = []
+        for lam in (1.0, 2.0, 4.0, 8.0, 16.0):
+            best = 0.0
+            for prof in profiles:
+                weighted = RadialProfile(r**gap * dyadic_piece(prof, lam).values, grid, n)
+                best = max(best, lp_norm(weighted, q_exp) / (lam**rate * lp_norm(prof, p_exp)))
+            constants.append(best)
+        stability = max(constants) / min(constants)
+        checks.append(CheckResult(f"stability_n{n}_a{alpha}_p{p_exp}_q{q_exp:g}",
+                                  stability <= 2.0, stability, "<= 2.0"))
     return checks
 
 

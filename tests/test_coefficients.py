@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from skyrmelab import coefficients
+from skyrmelab import coefficients, verify
 from skyrmelab.coefficients import (
     SERIES_SWITCH,
     SINC,
@@ -14,8 +14,6 @@ from skyrmelab.coefficients import (
     _coefficients,
     _plan,
     _series_rows,
-    check_coeff_bounds,
-    check_sin_inequality,
     tilde_h,
 )
 from skyrmelab.errors import DomainError
@@ -202,25 +200,11 @@ def test_domain_errors():
         tilde_h(1, math.nan)
 
 
-def test_coeff_bound_reports():
-    for cid in range(1, 7):
-        rep = check_coeff_bounds(cid, alpha=1.0)
-        assert all(math.isfinite(s) for s in rep.weighted_sup.values())
-        if cid in (1, 5, 6):
-            assert rep.sign_ok
-
-
 def test_sin_inequality_bounds():
-    for alpha in (0.5, 1.0, 2.0):
-        rep = check_sin_inequality(alpha)
-        for j in (0, 1, 2):
-            assert rep.sampled_sup[j] <= rep.analytic_bound[j] * (1 + 1e-12)
-        assert rep.sampled_sup[0] > 0.99  # bound j=0 is tight as sin(u)/r -> 0
-    rep = check_sin_inequality(1.0)
-    assert rep.analytic_bound[2] == pytest.approx(0.5)
-    for alpha in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="alpha must be positive"):
-            check_sin_inequality(alpha)
+    checks = {c.name: c for c in verify.coefficient_bounds_suite()}
+    assert checks["sine_ratio_j0"].value > 0.99  # bound j=0 is tight as sin(u)/r -> 0
+    assert checks["sine_ratio_j2"].tolerance == "<= 0.5"
+    assert all(checks[f"sine_ratio_j{j}"].passed for j in (0, 1, 2))
 
 
 def test_series_table_with_a_gap_is_refused(tmp_path, monkeypatch):

@@ -454,6 +454,23 @@ def test_sup_window_masks_outer_junk():
     assert sup_abs_u(st, window=5.0) == pytest.approx(g.nodes[32] * 0.1)
 
 
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+def test_integrate_refuses_a_sup_window_that_is_not_positive(window):
+    st = gaussian_state(RadialGrid(10.0, 64), FREE, amplitude=0.1)
+    with pytest.raises(ConfigError, match="sup_window must be positive"):
+        integrate(st, 0.05, 0.1, sup_window=window)
+
+
+@pytest.mark.parametrize("t0", [0.0, -1.0, 1e-9])
+def test_a_cone_that_has_closed_reads_zero_not_nan(t0):
+    # a cone with no whole cell holds no energy: 0.0, and NaN only when unset
+    st = gaussian_state(RadialGrid(10.0, 64), FREE, amplitude=0.1)
+    tr = integrate(st, 0.05, 0.1, cadence=1, lightcone_t0=t0)
+    assert list(tr.column("lightcone_energy")) == [0.0, 0.0, 0.0]
+    unset = integrate(st, 0.05, 0.1, cadence=1)
+    assert np.isnan(unset.column("lightcone_energy")).all()
+
+
 def test_sommerfeld_lets_pulse_leave_while_pin_reflects():
     g = RadialGrid(10.0, 512)
     mk = lambda: gaussian_state(g, FREE, amplitude=0.5, center=3.0)

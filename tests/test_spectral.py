@@ -19,8 +19,7 @@ from skyrmelab.grid import RadialGrid, radial_integral
 from skyrmelab.spectral import (SPHERE_AREA, RadialProfile, SpectralProfile,
                                 besov_norm, chi, dyadic_band,
                                 dyadic_piece, inverse_radial_fourier, lp_norm,
-                                radial_dyadic_sobolev_check, radial_fourier,
-                                scale, sobolev_norm)
+                                radial_fourier, scale, sobolev_norm)
 
 G16 = RadialGrid(16.0, 1024)
 GAUSS16 = np.exp(-G16.nodes**2 / 2.0)
@@ -91,6 +90,22 @@ def test_undecayed_profile_warns():
     assert not p.decay_certified
     with pytest.warns(RuntimeWarning):
         radial_fourier(p)
+
+
+def test_a_profile_keeps_its_spectrum():
+    p = gauss_profile(5)
+    first = radial_fourier(p).fhat.copy()
+    again = radial_fourier(p)
+    assert again.fhat.tobytes() == first.tobytes()
+    assert not again.fhat.flags.writeable
+    undecayed = RadialProfile(np.ones_like(G16.nodes), G16, dim=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for lam in dyadic_band(G16)[:3]:
+            dyadic_piece(undecayed, lam)
+        radial_fourier(undecayed)
+    assert [str(w.message) for w in caught] == [
+        "profile tail is not negligible; transform accuracy degrades"]
 
 
 
@@ -478,11 +493,10 @@ def test_dyadic_piece_band_guard():
 
 def test_far_shells_are_orthogonal():
     p = gauss_profile(5)
-    spec = radial_fourier(p)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        a = dyadic_piece(p, 1.0, spectrum=spec).values
-        b = dyadic_piece(p, 4.0, spectrum=spec).values
+        a = dyadic_piece(p, 1.0).values
+        b = dyadic_piece(p, 4.0).values
     ip = radial_integral(a * b, G16, 4)
     na = radial_integral(a * a, G16, 4)
     nb = radial_integral(b * b, G16, 4)
@@ -499,10 +513,9 @@ def test_shell_reconstruction_on_band_limited_profile():
     limited = inverse_radial_fourier(SpectralProfile(5, sp.fhat * window, G16))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        spec = radial_fourier(limited)
         recon = np.zeros_like(limited.values)
         for lam in band:
-            recon += dyadic_piece(limited, lam, spectrum=spec).values
+            recon += dyadic_piece(limited, lam).values
     num = radial_integral((recon - limited.values) ** 2, G16, 4)
     den = radial_integral(limited.values**2, G16, 4)
     assert math.sqrt(num / den) <= 1e-6
@@ -599,24 +612,6 @@ def test_scale_guards():
     assert [str(w.message) for w in caught] == [
         "contraction pushes unresolved tail mass off the grid",
         "profile tail is not negligible; transform accuracy degrades"]
-
-
-# ------------------------------------------------ dyadic Sobolev sample suite
-
-def test_dyadic_sobolev_stability_cases():
-    for n, alpha, p_exp, q_exp in ((5, 4, 2, math.inf), (3, 2, 2, 4), (5, 0, 2, 4)):
-        rep = radial_dyadic_sobolev_check(n, alpha, p_exp, q_exp)
-        assert rep.stability <= 2.0
-        assert all(math.isfinite(c) and c > 0 for c in rep.constants)
-
-
-def test_dyadic_sobolev_validation():
-    with pytest.raises(DomainError):
-        radial_dyadic_sobolev_check(4, 1, 2, 4)  # dim not shipped
-    with pytest.raises(DomainError):
-        radial_dyadic_sobolev_check(5, 5, 2, 4)  # alpha beyond n-1
-    with pytest.raises(DomainError):
-        radial_dyadic_sobolev_check(5, 1, 4, 2)  # p > q
 
 
 # ------------------------------------------------------------ property tests
