@@ -18,7 +18,7 @@ from .config import _PARSERS, parse_config
 from .errors import ConfigError, DomainError
 from .runio import ScenarioReport, output_root, read_snapshot, run_scenario
 from .scenarios import scenario_names, scenario_path
-from .spectral import RadialProfile, besov_norm
+from .spectral import SPHERE_AREA, RadialProfile, besov_norm
 from .verify import SUITES, format_reports, run_suite
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def build_parser():
                    help="one or more regularity exponents")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--dim", type=int, default=5, choices=(3, 5))
+    p.add_argument("--dim", type=int, default=5, choices=sorted(SPHERE_AREA))
     p.add_argument("--out", help="also write the CSV here")
     p.set_defaults(fn=_cmd_norms)
 

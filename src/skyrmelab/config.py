@@ -16,7 +16,7 @@ from .errors import ConfigError, DomainError
 from .exact import GaussianProfile, exact_free_wave_5d, turok_spergel_collapse_data
 from .grid import RadialGrid
 from .models import Kind, ModelSpec
-from .solver import BOUNDARIES, CFL_ENVELOPE, GROWTH_THRESHOLD, FieldState
+from .solver import CFL_ENVELOPE, GROWTH_THRESHOLD, OPTION_RULES, FieldState
 
 DATA_FAMILIES = ("gaussian", "turok-spergel", "free-wave", "file")
 
@@ -87,8 +87,8 @@ class RunConfig:
         return self.dt if self.dt is not None else self.cfl * self.grid.dr
 
     def echo(self):
-        """The config as parser input: every key with a value, except the run's name
-        and the keys its data family or checks do not read."""
+        """The config as parser input: every key with a value but the run's name,
+        snapshot_time unless the family is turok-spergel, and t_star_tol unless t_star is set."""
         hidden = {"name"}
         if self.data.family != "turok-spergel":
             hidden.add("snapshot_time")
@@ -137,18 +137,13 @@ _POSITIVE = (lambda x: x > 0, "must be positive")
 _MODELS = tuple(kind.value for kind in Kind)
 
 # (section, key) -> (test, what the test demands) for each key whose value
-# alone can be out of range; alpha's rule is ModelSpec's
+# alone can be out of range; alpha's rule is ModelSpec's, the run options' are solver's
 _RULES = {
     ("run", "model"): (_MODELS.__contains__, f"must be one of {_MODELS}"),
     ("run", "R"): _POSITIVE,
     ("run", "N"): (lambda n: n >= 8 and n % 8 == 0, "must be a multiple of 8, at least 8"),
     ("run", "cfl"): (lambda x: 0.0 < x <= CFL_ENVELOPE, f"must lie in (0, {CFL_ENVELOPE}]"),
-    ("run", "dt"): _POSITIVE,
-    ("run", "T"): (lambda x: x >= 0, "must be >= 0"),
-    ("run", "boundary"): (BOUNDARIES.__contains__, f"must be one of {BOUNDARIES}"),
-    ("run", "cadence"): (lambda n: n >= 0, "must be >= 0"),
-    ("run", "sup_window"): _POSITIVE,
-    ("run", "growth_threshold"): (lambda x: x > 1, "must exceed 1"),
+    **{("run", key): rule for key, rule in OPTION_RULES.items()},
     ("data", "family"): (DATA_FAMILIES.__contains__, f"must be one of {DATA_FAMILIES}"),
     ("data", "width"): _POSITIVE,
     ("data", "snapshot_time"): _POSITIVE,

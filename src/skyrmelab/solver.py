@@ -35,6 +35,16 @@ HARD_SUP = 1.0e6
 CFL_ENVELOPE = 0.9
 BOUNDARIES = ("pin", "sommerfeld")
 
+# integrate's option -> (test, what the test demands); config's [run] rules are these
+OPTION_RULES = {
+    "dt": (lambda x: x > 0, "must be positive"),
+    "T": (lambda x: x >= 0, "must be >= 0"),
+    "cadence": (lambda n: n >= 0, "must be >= 0"),
+    "boundary": (BOUNDARIES.__contains__, f"must be one of {BOUNDARIES}"),
+    "sup_window": (lambda x: x > 0, "must be positive"),
+    "growth_threshold": (lambda x: x > 1, "must exceed 1"),
+}
+
 
 @dataclass
 class FieldState:
@@ -107,8 +117,9 @@ def _rhs(state, v, vt, boundary):
 
 def step_rk4(state, dt, boundary="pin"):
     """One classical RK4 step of the (v, v_t) system; deterministic."""
-    if boundary not in BOUNDARIES:
-        raise ConfigError(f"unknown boundary closure {boundary!r}")
+    test, demand = OPTION_RULES["boundary"]
+    if not test(boundary):
+        raise ConfigError(f"boundary {demand}, got {boundary!r}")
     h = abs(dt)
     if h > CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):
         raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={state.grid.dr}")
@@ -180,14 +191,13 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     the energy-proxy distance to it.  A hard stop appends a row of NaN
     diagnostics; either trip sets trace.blew_up and the last row's blowup_flag.
     """
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if not T >= 0:
-        raise ConfigError("T must be >= 0")
-    if T == math.inf:  # NaN fails the check above
-        raise ConfigError("T must be finite")
-    if sup_window is not None and not sup_window > 0:
-        raise ConfigError(f"sup_window must be positive, got {sup_window}")
+    for name, value in dict(dt=dt, T=T, cadence=cadence, boundary=boundary, sup_window=sup_window,
+                            growth_threshold=growth_threshold, lightcone_t0=lightcone_t0).items():
+        test, demand = OPTION_RULES.get(name, (None, None))
+        if value is not None and test and not test(value):  # None leaves an option unset
+            raise ConfigError(f"{name} {demand}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     n_steps = max(math.ceil(T / dt - 1e-12), 1) if T > 0 else 0
     dt_actual = T / n_steps if n_steps else 0.0
     if cadence <= 0:

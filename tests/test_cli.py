@@ -7,7 +7,7 @@ from skyrmelab.grid import RadialGrid
 from skyrmelab.models import Kind, ModelSpec
 from skyrmelab.runio import read_snapshot, write_snapshot
 from skyrmelab.solver import FieldState
-from skyrmelab.spectral import RadialProfile, besov_norm
+from skyrmelab.spectral import SPHERE_AREA, RadialProfile, besov_norm
 
 TINY = """[run]
 model = wave-map
@@ -231,6 +231,18 @@ def test_norms_rejects_bad_exponents(outroot, tmp_path, capsys):
     assert rc == 2
     with pytest.raises(SystemExit) as e:  # --q is a float, like --p
         main(["norms", snap, "--s", "1.0", "--q", "abc"])
+    assert e.value.code == 2
+
+
+def test_norms_dim_takes_the_dimensions_spectral_supports(tmp_path, capsys):
+    g = RadialGrid(10.0, 16)
+    v = np.exp(-g.nodes**2)
+    snap = str(write_snapshot(tmp_path / "d.snap",
+                              FieldState(0.0, v, np.zeros_like(v), g, ModelSpec(Kind.WAVE_MAP))))
+    for dim in SPHERE_AREA:
+        assert main(["norms", snap, "--s", "1.0", "--dim", str(dim)]) == 0
+    with pytest.raises(SystemExit) as e:
+        main(["norms", snap, "--s", "1.0", "--dim", "4"])
     assert e.value.code == 2
 
 

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skyrmelab.config import DataSpec, ExpectSpec, RunConfig, initial_state, parse_config
+from skyrmelab.config import (_RULES, DataSpec, ExpectSpec, RunConfig, initial_state,
+                              parse_config)
 from skyrmelab.errors import ConfigError, DomainError
 from skyrmelab.exact import exact_free_wave_5d, GaussianProfile, turok_spergel_collapse_data
 from skyrmelab.models import Kind
-from skyrmelab import scenarios
+from skyrmelab import scenarios, solver
 from skyrmelab.scenarios import load_scenario, scenario_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,6 +33,12 @@ def test_echo_round_trips():
     again = parse_config(cfg.echo())
     assert again.model == "skyrme" and again.alpha == 1.5 and again.T == 2.0
     assert again.expect.energy_drift_max == 1e-5
+
+
+def test_run_option_rules_are_the_solvers():
+    # one rule per option: the parser and integrate read the same entry
+    for key in ("dt", "T", "cadence", "boundary", "sup_window", "growth_threshold"):
+        assert _RULES[("run", key)] is solver.OPTION_RULES[key]
 
 
 def test_comments_and_blank_lines_ignored():

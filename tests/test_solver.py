@@ -1,6 +1,7 @@
 """Evolution tests: convergence, conservation, reversal, blow-up plumbing."""
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,19 @@ def test_integrate_refuses_a_sup_window_that_is_not_positive(window):
         integrate(st, 0.05, 0.1, sup_window=window)
 
 
+@pytest.mark.parametrize("option,value", [
+    ("lightcone_t0", math.nan), ("lightcone_t0", math.inf), ("lightcone_t0", -math.inf),
+    ("growth_threshold", math.nan), ("growth_threshold", math.inf),
+    ("growth_threshold", 1.0), ("growth_threshold", 0.5),
+    ("cadence", -1), ("cadence", math.nan), ("boundary", "open"),
+])
+def test_integrate_refuses_a_bad_option_by_name(option, value):
+    # T = 0 takes no step: integrate itself must refuse the value
+    st = gaussian_state(RadialGrid(10.0, 64), FREE, amplitude=0.1)
+    with pytest.raises(ConfigError, match=f"^{option} must "):
+        integrate(st, 0.05, 0.0, **{option: value})
+
+
 @pytest.mark.parametrize("t0", [0.0, -1.0, 1e-9])
 def test_a_cone_that_has_closed_reads_zero_not_nan(t0):
     # a cone with no whole cell holds no energy: 0.0, and NaN only when unset
@@ -509,3 +523,29 @@ def test_step_rk4_matches_golden_digests():
     assert written == np.__version__, (
         f"digests were written under numpy {written}, this is numpy {np.__version__}")
     assert golden == {kind.value: _collapse_step_digest(kind) for kind in Kind}
+
+
+# the allocation peak of one warm step at N = 16384, in arrays of N + 1 doubles,
+# of the stepper that allocates every stage's temporaries; a stepper that owns
+# its stage buffers can only lower it
+STEP_PEAK_ARRAYS = {Kind.WAVE_MAP: 16.15, Kind.SKYRME: 24.16, Kind.ADKINS_NAPPI: 19.15,
+                    Kind.SKYRME_APPROX: 12.01, Kind.ADKINS_NAPPI_APPROX: 10.01,
+                    Kind.FREE_WAVE_5D: 10.01}
+# small Python objects move the peak by up to ~0.01 between processes; the slack
+# stays below one more temporary, of which the smallest is an N + 1 byte mask (0.125)
+STEP_PEAK_SLACK = 0.05
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=lambda kind: kind.value)
+def test_step_rk4_allocation_peak_is_bounded(kind):
+    g = RadialGrid(8.0, 16384)
+    v0, vt0 = turok_spergel_collapse_data(1.0, g.nodes)
+    st = FieldState(0.0, v0, vt0, g, ModelSpec(kind, alpha=1.0 if kind in ALPHA_KINDS else None))
+    step_rk4(st, 0.5 * g.dr)  # warm: whatever a first step caches is not counted
+    tracemalloc.start()
+    try:
+        step_rk4(st, 0.5 * g.dr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * (g.N + 1)) <= STEP_PEAK_ARRAYS[kind] + STEP_PEAK_SLACK
