@@ -9,7 +9,7 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +19,9 @@ from .errors import ConfigError
 from .exact import GaussianProfile, exact_free_wave_5d
 from .grid import RadialGrid, radial_integral
 from .models import Kind, ModelSpec
-from .solver import FieldState, detect_blowup, integrate
+from .solver import FieldState, TraceRow, detect_blowup, integrate
 
-TRACE_COLUMNS = ("t", "total_energy", "sup_abs_u", "sup_abs_u_r",
-                 "lightcone_energy", "deficit", "blowup_flag")
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 _FMT = "%.17g"
 _TRACE_ROW = ",".join([_FMT] * (len(TRACE_COLUMNS) - 1) + ["%d"]) + "\n"
 _trace_cells = operator.attrgetter(*TRACE_COLUMNS)

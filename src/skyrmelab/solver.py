@@ -120,8 +120,7 @@ def step_rk4(state, dt, boundary="pin"):
     test, demand = OPTION_RULES["boundary"]
     if not test(boundary):
         raise ConfigError(f"boundary {demand}, got {boundary!r}")
-    h = abs(dt)
-    if h > CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):
+    if not abs(dt) <= CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):  # NaN fails it too
         raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={state.grid.dr}")
     v, vt = state.v, state.vt
     kv, ka = _rhs(state, v, vt, boundary)
@@ -310,52 +309,3 @@ def scattering_deficit(init, dt, T1, T2):
         raise DomainError("blow-up before the measurement time")
     return ScatteringDeficit(T1=T1, T2=T2, deficit=0.0 if free else tr.rows[-1].deficit)
 
-
-@dataclass
-class ConvergenceReport:
-    errors: list
-    orders: list
-    observed_order: float
-
-
-def convergence_study(data_fn, model, resolutions, R, T, cfl=0.5, exact=None):
-    """Errors and observed order at time T over doubling resolutions.
-
-    data_fn(grid) -> (v, vt) builds the initial data per grid; exact, if given,
-    is exact(grid, t) -> v and otherwise the finest run restricted to each
-    coarser grid serves as reference.  Errors are L^2(r^4 dr) of the v field.
-    """
-    res = sorted(int(n) for n in resolutions)
-    if len(res) < 3 or len(set(res)) != len(res):
-        raise ConfigError("need at least three distinct resolutions")
-    for a, b in zip(res, res[1:]):
-        if b != 2 * a:
-            raise ConfigError("resolutions must double")
-    finals = []
-    for n in res:
-        g = RadialGrid(R, n)
-        v0, vt0 = data_fn(g)
-        st = FieldState(0.0, np.asarray(v0, float), np.asarray(vt0, float), g, model)
-        tr = integrate(st, cfl * g.dr, T, cadence=10**9)
-        if tr.blew_up:
-            raise DomainError(f"blow-up during the N={n} run")
-        finals.append(tr.final_state)
-    errors = []
-    if exact is not None:
-        for st in finals:
-            diff = st.v - exact(st.grid, st.t)
-            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4)))
-        measured = res
-    else:
-        ref = finals[-1]
-        for st in finals[:-1]:
-            stride = ref.grid.N // st.grid.N
-            diff = st.v - ref.v[::stride]
-            errors.append(math.sqrt(radial_integral(diff * diff, st.grid, 4)))
-        measured = res[:-1]
-    orders = [math.log2(a / b) if b > 0 else math.inf for a, b in zip(errors, errors[1:])]
-    if len(errors) >= 2 and all(e > 0 for e in errors):
-        slope = np.polyfit(np.log([R / n for n in measured]), np.log(errors), 1)[0]
-    else:
-        slope = math.inf
-    return ConvergenceReport(errors=errors, orders=orders, observed_order=float(slope))

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.slow  # ~2 minutes all told; the long solver runs live 
 
 @pytest.fixture(autouse=True, scope="module")
 def _outroot(tmp_path_factory):
-    # criteria 5 and 6 replay shipped scenarios and write their artifacts
+    # criteria 4, 5 and 6 replay shipped scenarios and write their artifacts
     mp = pytest.MonkeyPatch()
     mp.setenv("SKYRMELAB_OUT", str(tmp_path_factory.mktemp("acceptance")))
     yield

@@ -2,7 +2,7 @@
 
 The time stepping behind criteria 4-8 and 11 is stubbed, so these tests see
 which reports each suite yields, not what they measure (test_acceptance.py
-does that), and that criteria 7 and 8 refuse a run that blew up.
+does that), and that criteria 4, 7 and 8 refuse a run that blew up.
 """
 from types import SimpleNamespace
 
@@ -42,10 +42,8 @@ def no_stepping(monkeypatch):
     monkeypatch.setattr(verify, "integrate", integrate)
     monkeypatch.setattr(verify, "scattering_deficit",
                         lambda *a, **k: SimpleNamespace(deficit=1.0))
-    monkeypatch.setattr(verify, "convergence_study",
-                        lambda *a, **k: SimpleNamespace(observed_order=4.0))
-    monkeypatch.setattr(verify, "run_scenario",
-                        lambda cfg, outdir=None: ScenarioReport(cfg.name, [], 0.0))
+    monkeypatch.setattr(verify, "run_scenario", lambda cfg, outdir=None: ScenarioReport(
+        cfg.name, [], 0.0, error_vs_exact=cfg.N ** -4.0))
 
 
 def test_verify_all_runs_fourteen_reports_in_order(no_stepping):
@@ -71,13 +69,16 @@ def test_suite_names():
 
 
 @pytest.mark.parametrize("criterion,message", [
+    (verify.solver_convergence, "blow-up during the N=512 run"),
     (verify.cubic_smallness_scaling, "blow-up of the amplitude-0.2 run"),
     (verify.scattering_trend, "blow-up before the handoff time"),
-], ids=["criterion-7", "criterion-8"])
+], ids=["criterion-4", "criterion-7", "criterion-8"])
 def test_a_blown_up_run_is_a_domain_error(monkeypatch, criterion, message):
     monkeypatch.setattr(verify, "integrate", lambda state, dt, T, **kw: DiagnosticsTrace(
         rows=[TraceRow(T, *[float("nan")] * 5, 1)], blew_up=True, final_state=state))
     monkeypatch.setattr(verify, "scattering_deficit",
                         lambda *a, **k: SimpleNamespace(deficit=1.0))
+    monkeypatch.setattr(verify, "run_scenario",
+                        lambda cfg, outdir=None: ScenarioReport(cfg.name, [], 0.0, blew_up=True))
     with pytest.raises(DomainError, match=message):
         criterion()
