@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DomainError
 
 SERIES_SWITCH = 0.05
+_TINY = np.finfo(float).tiny  # the smallest normal double
 # pseudo-id for sin(u)/u, the factor that keeps the Skyrme denominator finite
 # at the axis; it goes through the same series/closed-form switch
 SINC = 0
@@ -88,7 +89,7 @@ def _plan(ids):
 def _series_rows(plan, u):
     """Taylor branch on the 1-D array u: Horner in u^2 over all rows at once."""
     x2 = u * u
-    x2[x2 < np.finfo(float).tiny] = 0.0  # a subnormal square changes no rounded sum but slows products
+    x2[x2 < _TINY] = 0.0  # a subnormal square changes no rounded sum but slows products
     rows = plan.columns[0] * x2
     for column in plan.columns[1:-1]:
         rows += column

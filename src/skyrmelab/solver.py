@@ -100,7 +100,7 @@ def _rhs(state, v, vt, boundary):
     what the nonlinearity makes of them is not checked.
     """
     g = state.grid
-    if not np.all(np.isfinite(v)) or (boundary == "sommerfeld" and not np.all(np.isfinite(vt))):
+    if not np.isfinite(v).all() or (boundary == "sommerfeld" and not np.isfinite(vt).all()):
         raise DomainError("non-finite field samples")
     v_r, v_rr = even_derivatives(v, g)
     acc = laplacian5_from(v_r, v_rr, g)
@@ -241,7 +241,7 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
         if twin is not None:
             twin = step_rk4(twin, dt_actual, boundary)
         # NaN in v fails the comparison too
-        if not (np.max(np.abs(state.v)) <= HARD_SUP and np.all(np.isfinite(state.vt))):
+        if not (np.abs(state.v).max() <= HARD_SUP and np.isfinite(state.vt).all()):
             trace.rows.append(TraceRow(state.t, math.nan, math.nan, math.nan, math.nan,
                                        math.nan, 0))
             stopped = True

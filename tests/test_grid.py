@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from skyrmelab.errors import ConfigError, ContractError, DomainError
-from skyrmelab.grid import FieldSamples, Parity, RadialGrid, d_r, laplacian5, radial_integral
+from skyrmelab.grid import (FieldSamples, Parity, RadialGrid, d_r, even_d_r, even_derivatives,
+                            laplacian5, radial_integral)
 
 
 def even_field(g, fn):
@@ -65,11 +66,15 @@ D2_REF = ([-1.0, 16.0, -30.0, 16.0, -1.0], [([1.0, -6.0, 14.0, -4.0, -15.0, 10.0
                                            ([-10.0, 61.0, -156.0, 214.0, -154.0, 45.0], -5)])
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 1000])
-def test_stencils_sum_like_the_ghost_extended_reference(n):
+# 4096 and 16384 are the largest grids the lab steps; a spread s scales the
+# samples by 10**uniform(-s, s), so rounding meets every exponent
+@pytest.mark.parametrize("n, spread", [(8, 0), (9, 0), (64, 0), (1000, 0), (4096, 0), (16384, 0),
+                                       (4096, 300), (16384, 300)],
+                         ids=["8", "9", "64", "1000", "4096", "16384", "4096-wide", "16384-wide"])
+def test_stencils_sum_like_the_ghost_extended_reference(n, spread):
     g = RadialGrid(3.0, n)
     rng = np.random.default_rng(n)
-    f = rng.standard_normal(n + 1)
+    f = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-spread, spread, n + 1)
     h = g.dr
     d1 = _ghost_stencil(f, *D1_REF) / (12.0 * h)
     d1[0] = 0.0
@@ -79,6 +84,16 @@ def test_stencils_sum_like_the_ghost_extended_reference(n):
     lap[1:] += 4.0 * d1[1:] / g.nodes[1:]
     lap[0] *= 5.0
     assert np.array_equal(laplacian5(FieldSamples(f, Parity.EVEN), g).values, lap)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_stencils_refuse_fewer_samples_than_the_edge_closures_read(n):
+    # the closures read 6 samples back from the edge; fewer would index off the array
+    g = RadialGrid(3.0, 8)
+    with pytest.raises(ContractError, match="at least 6 samples"):
+        even_d_r(np.ones(n), g)
+    with pytest.raises(ContractError, match="at least 6 samples"):
+        even_derivatives(np.ones(n), g)
 
 
 def test_d_r_constant_is_zero():
