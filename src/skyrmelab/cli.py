@@ -14,10 +14,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import _PARSERS, parse_config
+from .config import _PARSERS, parse_config, scenario_names, scenario_path
 from .errors import ConfigError, DomainError
 from .runio import ScenarioReport, output_root, read_snapshot, run_scenario
-from .scenarios import scenario_names, scenario_path
 from .spectral import SPHERE_AREA, RadialProfile, besov_norm
 from .verify import SUITES, format_reports, run_suite
 

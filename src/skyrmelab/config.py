@@ -5,10 +5,12 @@ Config files are plain key = value lines grouped under [run], [data] and
 validates everything it can and raises a single ConfigError carrying every
 problem with its line number, so a bad file is fixed in one pass.  A minimal
 file (even empty) is valid: defaults fill in a small wave-map run with
-Gaussian data.
+Gaussian data.  The shipped scenarios are such files under data/scenarios/,
+read by name.
 """
 import math
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .models import Kind, ModelSpec
 from .solver import CFL_ENVELOPE, GROWTH_THRESHOLD, OPTION_RULES, FieldState
 
 DATA_FAMILIES = ("gaussian", "turok-spergel", "free-wave", "file")
+_SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
 
 
 @dataclass
@@ -214,6 +217,23 @@ def parse_config(text, name=None):
     if problems:
         raise ConfigError(sorted(problems, key=lambda p: (p[0] is None, p[0] or 0)))
     return cfg
+
+
+def scenario_names():
+    return tuple(sorted(p.stem for p in _SCENARIO_DIR.glob("*.cfg")))
+
+
+def scenario_path(name):
+    path = _SCENARIO_DIR / f"{name}.cfg"
+    if not path.is_file():
+        raise ConfigError(f"no shipped scenario named {name!r}; "
+                          f"available: {', '.join(scenario_names())}")
+    return path
+
+
+def load_scenario(name):
+    path = scenario_path(name)
+    return parse_config(path.read_text(), name=name)
 
 
 def initial_state(cfg):

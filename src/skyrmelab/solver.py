@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ContractError, DomainError
 from .grid import (RadialGrid, _simpson, even_d_r, even_derivatives, laplacian5_from,
                    radial_integral)
 from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
@@ -53,6 +53,12 @@ class FieldState:
     vt: np.ndarray
     grid: RadialGrid
     model: ModelSpec
+
+    def __post_init__(self):
+        want = (self.grid.N + 1,)
+        if self.v.shape != want or self.vt.shape != want:
+            raise ContractError(f"v and vt need one sample per node, shape {want}; "
+                                f"got {self.v.shape} and {self.vt.shape}")
 
     def copy(self):
         return FieldState(self.t, self.v.copy(), self.vt.copy(), self.grid, self.model)

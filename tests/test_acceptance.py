@@ -9,7 +9,7 @@ import pytest
 
 from skyrmelab import verify
 
-pytestmark = pytest.mark.slow  # ~2 minutes all told; the long solver runs live here
+pytestmark = pytest.mark.slow  # about a minute all told; the long solver runs live here
 
 
 @pytest.fixture(autouse=True, scope="module")

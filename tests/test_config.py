@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from skyrmelab.config import (_RULES, DataSpec, ExpectSpec, RunConfig, initial_state,
-                              parse_config)
+                              load_scenario, parse_config, scenario_names)
 from skyrmelab.errors import ConfigError, DomainError
 from skyrmelab.exact import exact_free_wave_5d, GaussianProfile, turok_spergel_collapse_data
 from skyrmelab.models import Kind
-from skyrmelab import scenarios, solver
-from skyrmelab.scenarios import load_scenario, scenario_names
+from skyrmelab import solver
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,45 +143,6 @@ def test_non_finite_values_are_rejected_on_their_line(section, key, bad, context
 @pytest.mark.parametrize("name", scenario_names())
 def test_echo_of_shipped_scenarios_is_frozen(name):
     assert load_scenario(name).echo() == (GOLDEN / f"{name}.echo").read_text()
-
-
-def test_gate_file_must_name_its_profile(tmp_path, monkeypatch):
-    shipped = scenarios._GATE_FILE.read_text()
-    assert scenarios.smallness_gate()["profile"] == "skyrme-small"
-    gate = tmp_path / "gate.txt"
-    gate.write_text("".join(ln + "\n" for ln in shipped.splitlines()
-                            if not ln.startswith("profile")))
-    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
-    with pytest.raises(ConfigError, match="profile"):
-        scenarios.smallness_gate()
-
-
-def test_gate_file_must_match_what_data_size_measures(tmp_path, monkeypatch):
-    shipped = scenarios._GATE_FILE.read_text()
-    assert "besov_s = 1.5\n" in shipped
-    gate = tmp_path / "gate.txt"
-    gate.write_text(shipped.replace("besov_s = 1.5\n", "besov_s = 2\n"))
-    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
-    with pytest.raises(ConfigError, match="besov_s"):
-        scenarios.smallness_gate()
-    gate.write_text("".join(ln + "\n" for ln in shipped.splitlines()
-                            if not ln.startswith("besov_q")))
-    with pytest.raises(ConfigError, match="besov_q"):
-        scenarios.smallness_gate()
-
-
-@pytest.mark.parametrize("key,bad", [("besov_value", "nan"), ("l2_value", "inf"),
-                                     ("besov_p", "two")])
-def test_gate_file_values_must_be_finite_numbers(tmp_path, monkeypatch, key, bad):
-    shipped = scenarios._GATE_FILE.read_text()
-    gate = tmp_path / "gate.txt"
-    gate.write_text("".join(f"{key} = {bad}\n" if ln.startswith(f"{key} =") else ln + "\n"
-                            for ln in shipped.splitlines()))
-    assert f"{key} = {bad}\n" in gate.read_text()
-    monkeypatch.setattr(scenarios, "_GATE_FILE", gate)
-    with pytest.raises(ConfigError) as e:
-        scenarios.smallness_gate()
-    assert str(e.value) == f"{gate}: {key} must be a finite number, got {bad!r}"
 
 
 def test_unknown_scenario_name_is_a_config_error():

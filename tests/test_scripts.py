@@ -5,8 +5,10 @@ verify_algebra_symbolic.py audits the hand-coded model algebra and must exit
 (which rewrites the table), and must reproduce the shipped Taylor table.
 Both need sympy.  verify_records.py must find no move between a suite's
 records and themselves, and must report one it is shown.  line_coverage.py's
-tracer must name the one line of a fixture module that did not run.
+tracer must name the one line of a fixture module that did not run.  Every
+script under scripts/ is one of these four, so none is kept without a test.
 """
+import ast
 import importlib.util
 import json
 import os
@@ -20,6 +22,15 @@ import skyrmelab
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+
+
+def test_every_script_is_loaded_or_run_here():
+    # the scripts this module names as SCRIPTS / "<file>"; a script added without a test fails
+    tree = ast.parse(Path(__file__).read_text())
+    named = {node.right.value for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Name)
+             and node.left.id == "SCRIPTS" and isinstance(node.right, ast.Constant)}
+    assert named == {p.name for p in SCRIPTS.glob("*.py")}
 
 
 def test_symbolic_algebra_audit_exits_0():

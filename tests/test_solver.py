@@ -490,10 +490,12 @@ def _collapse_step_digest(kind):
 
 
 def test_step_rk4_refuses_a_state_too_short_for_the_stencils():
-    # FieldState checks no shape; the stencils refuse 5 samples rather than read off the array
+    # refused where the state is made: 5 samples, which the stencils refuse too, and 7 in
+    # both arrays or in vt alone, which used to reach them and fail in numpy broadcasting
     g = RadialGrid(3.0, 8)
-    with pytest.raises(ContractError, match="at least 6 samples"):
-        step_rk4(FieldState(0.0, np.ones(5), np.zeros(5), g, WAVE_MAP), 0.1 * g.dr)
+    for v_len, vt_len in ((5, 5), (7, 7), (9, 7)):
+        with pytest.raises(ContractError, match=rf"\(9,\); got \({v_len},\) and \({vt_len},\)"):
+            step_rk4(FieldState(0.0, np.ones(v_len), np.zeros(vt_len), g, WAVE_MAP), 0.1 * g.dr)
 
 
 def test_step_rk4_matches_golden_digests():

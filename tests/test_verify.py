@@ -2,7 +2,8 @@
 
 The time stepping behind criteria 4-8 and 11 is stubbed, so these tests see
 which reports each suite yields, not what they measure (test_acceptance.py
-does that), and that criteria 4, 7 and 8 refuse a run that blew up.
+does that), and that criteria 4, 7 and 8 refuse a run that blew up.  The
+smallness gate steps nothing, so it runs unstubbed and its verdicts count.
 """
 from types import SimpleNamespace
 
@@ -82,3 +83,11 @@ def test_a_blown_up_run_is_a_domain_error(monkeypatch, criterion, message):
                         lambda cfg, outdir=None: ScenarioReport(cfg.name, [], 0.0, blew_up=True))
     with pytest.raises(DomainError, match=message):
         criterion()
+
+
+def test_smallness_gate_checks_pass():
+    # the recorded gate constants still match their recomputation and sort the data
+    checks = verify.smallness_gate_consistency()
+    assert [c.name for c in checks] == ["gate_besov_reproducible", "gate_l2_reproducible",
+                                        "collapse_data_above_gate"]
+    assert all(c.passed for c in checks), [c.line() for c in checks]
