@@ -15,11 +15,14 @@ coefficients are
 
 All are even in u except c3, which is odd; c1 = c5 <= 0 and c6 >= 0.  Each has
 a removable singularity at u = 0, so for |u| < SERIES_SWITCH the closed forms
-are replaced by truncated Taylor series whose coefficients are precomputed by
-scripts/generate_series_constants.py (the alpha^2 prefactor of c2, c3, c4 is
-applied at evaluation time).  With the switch at 0.05 the relative error of
-either branch stays below 2e-13 in double precision; at 1e-2 the closed forms
-already lose 1e-12 to cancellation, which is why the switch sits where it does.
+are replaced by Taylor series through degree 10, whose coefficients are exact
+rationals computed at import in integers, from numerators written with
+sin^2 u = (1 - cos 2u)/2 and sin 2u cos 2u = sin 4u / 2, and rounded once
+(the alpha^2 prefactor of c2, c3, c4 is applied at evaluation time).  The
+first term dropped stays under 1.7e-19 of the value below the switch.  With
+the switch at 0.05 the relative error of either branch stays below 2e-13 in
+double precision; at 1e-2 the closed forms already lose 1e-12 to
+cancellation, which is why the switch sits where it does.
 
 A model evaluates all the coefficients it needs through a plan built once
 per id set.  Each sample takes exactly one branch: the branch holding most
@@ -31,7 +34,6 @@ are acceptance criterion 3, verify.coefficient_bounds_suite.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -46,29 +48,37 @@ SINC = 0
 ALPHA_FREE = frozenset({SINC, 1, 5, 6})  # ids whose closed form carries no alpha factor
 
 
-def _load_series_table():
-    text = resources.files("skyrmelab").joinpath("data/series_constants.txt").read_text()
-    raw = {i: {} for i in range(1, 7)}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cid, degree, value = line.split()
-        raw[int(cid)][int(degree)] = float(value)
-    table = {}
-    for cid, by_degree in raw.items():
-        degrees = sorted(by_degree)
-        odd = degrees[0] % 2 == 1  # ascending in u^2; c3 carries one extra factor of u
-        if degrees != list(range(int(odd), degrees[-1] + 1, 2)):
-            raise DomainError(f"series table for coefficient {cid} has gaps: {degrees}")
-        table[cid] = (odd, np.array([by_degree[d] for d in degrees]))
-    return table
+# Each closed form's numerator, the coefficient times u^k, as (k, terms): a
+# term (c, m, f, a) is c u^m f(a u) / 4.  Polynomial terms of degree below k
+# are left out, since dividing by u^k cancels them.
+_NUMERATORS = {
+    SINC: (1, [(4, 0, "sin", 1)]),  # sin u
+    1: (3, [(4, 0, "sin", 2)]),  # sin 2u - 2u
+    2: (5, [(2, 0, "sin", 2), (-1, 0, "sin", 4), (-4, 2, "sin", 2)]),  # sin 2u/2 - sin 4u/4 - u^2 sin 2u
+    3: (3, [(-8, 0, "cos", 2), (-8, 1, "sin", 2)]),  # 2 - 2 cos 2u - 2u sin 2u
+    4: (1, [(4, 0, "sin", 2)]),  # sin 2u
+    6: (5, [(-4, 1, "cos", 2), (-2, 0, "sin", 2), (1, 0, "sin", 4)]),  # u - u cos 2u - sin 2u/2 + sin 4u/4
+}
+_NUMERATORS[5] = _NUMERATORS[1]
 
 
-_SERIES = _load_series_table()
-_N_TERMS = max(coeffs.size for _, coeffs in _SERIES.values())
-# sin(u)/u = sum_k (-1)^k u^2k / (2k+1)!, as many terms as the tables carry
-_SERIES[SINC] = (False, np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(_N_TERMS)]))
+def _series(k, terms):
+    """(odd, Taylor coefficients through degree 10) of sum(terms) / u^k, each
+    exact in integers over the denominator 4 (n + k)! and rounded once."""
+    _, m0, f0, _ = terms[0]
+    odd = (k + m0 + (f0 == "sin")) % 2 == 1  # all terms share one parity
+    coeffs = []
+    for n in range(odd, 11, 2):
+        d, num = n + k, 0
+        for c, m, f, a in terms:
+            p = d - m  # u^m f(a u) meets u^d in f's term (-1)^(p//2) (a u)^p / p!
+            if p >= 0 and p % 2 == (f == "sin"):
+                num += c * (-1) ** (p // 2) * a ** p * math.perm(d, m)
+        coeffs.append(num / (4 * math.factorial(d)))
+    return odd, np.array(coeffs)
+
+
+_SERIES = {i: _series(k, terms) for i, (k, terms) in _NUMERATORS.items()}
 
 
 _Plan = namedtuple("_Plan", "ids columns odd scaled")

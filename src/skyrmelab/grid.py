@@ -19,6 +19,7 @@ Each stencil runs as one CSR product, its matrix built once per node count
 overhead, which one compiled product keeps to a few microseconds.
 """
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -90,6 +91,10 @@ class RadialGrid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            operator.index(self.N)
+        except TypeError:
+            raise ConfigError(f"the node count must be an integer, got {self.N!r}") from None
         if not self.N >= 8:
             raise ConfigError(f"need N >= 8 interior cells, got {self.N}")
         if not self.R > 0:

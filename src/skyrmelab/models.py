@@ -51,13 +51,19 @@ ALPHA_KINDS = (Kind.SKYRME, Kind.SKYRME_APPROX)
 class ModelSpec:
     """A model and its Skyrme coupling: the one place the alpha rule lives.
 
-    The models in ALPHA_KINDS need a finite alpha > 0; the other four take
-    none, and giving them one is a DomainError rather than a silent no-op.
+    kind is a Kind or its name; any other value is a DomainError.  The models
+    in ALPHA_KINDS need a finite alpha > 0; the other four take none, and
+    giving them one is a DomainError rather than a silent no-op.
     """
     kind: Kind
     alpha: float = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", Kind(self.kind))
+        except ValueError:
+            raise DomainError(f"unknown model {self.kind!r}, expected one of "
+                              f"{[k.value for k in Kind]}") from None
         if self.kind in ALPHA_KINDS:
             if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
                 raise DomainError(f"{self.kind.value} needs alpha > 0, got {self.alpha}")

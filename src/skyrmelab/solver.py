@@ -18,7 +18,10 @@ Blow-up is a flag, not an exception, and integrate alone raises it: the
 gradient trip (a sampled sup|u_r| above growth_threshold times its initial
 value) and the hard stop (sup|v| > HARD_SUP, or a non-finite v or v_t) end the
 run, set trace.blew_up and flag the last row.  detect_blowup only measures a
-finished trace.
+finished trace.  One exception remains: when an RK4 stage overflows, as 1e70
+data does under skyrme, adkins-nappi and adkins-nappi-approx, _rhs raises
+DomainError("non-finite field samples") before integrate sees the state
+(ROADMAP item 3).
 """
 import math
 from dataclasses import dataclass, field

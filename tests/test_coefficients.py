@@ -1,15 +1,15 @@
 """Coefficient functions: frozen high-precision oracles, parity, signs, switch continuity."""
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from skyrmelab import coefficients, verify
+from skyrmelab import verify
 from skyrmelab.coefficients import (
     SERIES_SWITCH,
     SINC,
+    _SERIES,
     _closed_rows,
     _coefficients,
     _plan,
@@ -41,6 +41,17 @@ ORACLE = {
           -0.10880422217787396268, -0.084352168887114958507, 0.0031025934443228333061],
     -17.3: [-0.0066906839509994366439, 8.1746844773967109441e-6, -0.0010559846459966672389,
             -0.0024547996946213931578, -0.0066906839509994366439, 2.2345102979154365326e-5],
+}
+
+# the alpha-stripped closed forms, for m = mpmath or sympy
+CLOSED_FORMS = {
+    1: lambda u, m: (m.sin(2 * u) - 2 * u) / u**3,
+    2: lambda u, m: m.sin(2 * u) * (m.sin(u) ** 2 - u**2) / u**5,
+    3: lambda u, m: 4 * m.sin(u) * (m.sin(u) - u * m.cos(u)) / u**3,
+    4: lambda u, m: m.sin(2 * u) / u,
+    5: lambda u, m: (m.sin(2 * u) - 2 * u) / u**3,
+    6: lambda u, m: (u - m.sin(u) * m.cos(u)) * (1 - m.cos(2 * u)) / u**5,
+    SINC: lambda u, m: m.sin(u) / u,
 }
 
 LIMITS = {1: -4.0 / 3.0, 2: -2.0 / 3.0, 3: 0.0, 4: 2.0, 5: -4.0 / 3.0, 6: 4.0 / 3.0}
@@ -120,23 +131,32 @@ def test_each_coefficient_is_bit_equal_across_sets():
 
 def test_series_matches_high_precision_closed_forms():
     mpmath = pytest.importorskip("mpmath")
-    forms = {
-        1: lambda u: (mpmath.sin(2 * u) - 2 * u) / u**3,
-        2: lambda u: mpmath.sin(2 * u) * (mpmath.sin(u) ** 2 - u**2) / u**5,
-        3: lambda u: 4 * mpmath.sin(u) * (mpmath.sin(u) - u * mpmath.cos(u)) / u**3,
-        4: lambda u: mpmath.sin(2 * u) / u,
-        6: lambda u: (u - mpmath.sin(u) * mpmath.cos(u)) * (1 - mpmath.cos(2 * u)) / u**5,
-        SINC: lambda u: mpmath.sin(u) / u,
-    }
     rng = np.random.default_rng(3)
     us = rng.uniform(-SERIES_SWITCH, SERIES_SWITCH, 200)
     assert np.all((us != 0.0) & (np.abs(us) < SERIES_SWITCH))
-    ids = tuple(forms)
+    ids = tuple(CLOSED_FORMS)
     rows = _coefficients(ids, us, alpha=1.0)  # every sample below the switch: series only
     for row, cid in zip(rows, ids):
         with mpmath.workdps(50):
-            want = np.array([float(forms[cid](mpmath.mpf(float(u)))) for u in us])
+            want = np.array([float(CLOSED_FORMS[cid](mpmath.mpf(float(u)), mpmath)) for u in us])
         assert np.all(np.abs(row - want) <= 4e-16 * np.abs(want)), cid
+
+
+def test_series_is_each_exact_taylor_coefficient_rounded_once():
+    # the mpmath check above cannot see an error in a degree-10 term; this one
+    # pins every table word to the exact rational, rounded once, and the
+    # coefficients of the other parity to exactly 0
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u")
+    assert set(_SERIES) == set(CLOSED_FORMS)
+    for cid, form in CLOSED_FORMS.items():
+        poly = sympy.Poly(sympy.series(form(u, sympy), u, 0, 11).removeO(), u)
+        exact = [poly.coeff_monomial(u**d) for d in range(11)]
+        odd, table = _SERIES[cid]
+        assert odd == (cid == 3)
+        assert all(c == 0 for c in exact[1 - odd::2]), cid
+        want = np.array([c.p / c.q for c in exact[odd::2]])  # int / int: one rounding
+        assert table.tobytes() == want.tobytes(), cid
 
 
 def test_alpha_square_scaling():
@@ -205,14 +225,3 @@ def test_sin_inequality_bounds():
     assert checks["sine_ratio_j0"].value > 0.99  # bound j=0 is tight as sin(u)/r -> 0
     assert checks["sine_ratio_j2"].tolerance == "<= 0.5"
     assert all(checks[f"sine_ratio_j{j}"].passed for j in (0, 1, 2))
-
-
-def test_series_table_with_a_gap_is_refused(tmp_path, monkeypatch):
-    shipped = (resources.files("skyrmelab") / "data" / "series_constants.txt").read_text()
-    assert "\n1 4 " in shipped
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "series_constants.txt").write_text(
-        "".join(ln + "\n" for ln in shipped.splitlines() if not ln.startswith("1 4 ")))
-    monkeypatch.setattr(coefficients.resources, "files", lambda package: tmp_path)
-    with pytest.raises(DomainError, match=r"coefficient 1 has gaps: \[0, 2, 6,"):
-        coefficients._load_series_table()

@@ -21,6 +21,10 @@ def test_grid_validation():
     g = RadialGrid(10.0, 64)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 10.0
     assert g.dr == pytest.approx(10.0 / 64)
+    assert np.array_equal(RadialGrid(10.0, np.int64(64)).nodes, g.nodes)
+    for N in (16.0, "16", None, np.float64(16.0)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            RadialGrid(20.0, N)
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf])

@@ -142,6 +142,19 @@ def test_alpha_validation():
             ModelSpec(kind, alpha=1.0)
 
 
+def test_model_kind_is_a_kind_or_its_name():
+    # a name becomes its Kind, so the models' `is Kind.X` dispatch sees it
+    for kind in ALL_KINDS:
+        assert spec_for(kind.value).kind is kind
+    r = np.linspace(0.0, 10.0, 65)
+    v, v_r, vt = 0.3 * np.exp(-r * r), -0.6 * r * np.exp(-r * r), np.zeros_like(r)
+    assert np.array_equal(energy_density_v(ModelSpec("wave-map"), r, v, v_r, vt),
+                          energy_density_v(ModelSpec(Kind.WAVE_MAP), r, v, v_r, vt))
+    for bad in ("not-a-model", "Wave-Map", 3, None):
+        with pytest.raises(DomainError, match="unknown model"):
+            ModelSpec(bad)
+
+
 def test_energy_density_examples():
     m = spec_for(Kind.ADKINS_NAPPI)
     val = energy_density(m, 1.0, math.pi, 0.0, 0.0)

@@ -1,12 +1,10 @@
 """The scripts under scripts/ still agree with the package.
 
 verify_algebra_symbolic.py audits the hand-coded model algebra and must exit
-0.  generate_series_constants.py is loaded by path, without calling its main
-(which rewrites the table), and must reproduce the shipped Taylor table.
-Both need sympy.  verify_records.py must find no move between a suite's
+0 (it needs sympy).  verify_records.py must find no move between a suite's
 records and themselves, and must report one it is shown.  line_coverage.py's
 tracer must name the one line of a fixture module that did not run.  Every
-script under scripts/ is one of these four, so none is kept without a test.
+script under scripts/ is one of these three, so none is kept without a test.
 """
 import ast
 import importlib.util
@@ -17,8 +15,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import skyrmelab
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -46,15 +42,6 @@ def load(path, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def test_series_constants_match_their_generator():
-    pytest.importorskip("sympy")
-    gen = load(SCRIPTS / "generate_series_constants.py", "generate_series_constants")
-    table = Path(skyrmelab.__file__).parent / "data" / "series_constants.txt"
-    want = [ln for ln in table.read_text().splitlines() if not ln.startswith("#")]
-    got = [ln for cid, expr in gen.BASES.items() for ln in gen.taylor_lines(cid, expr)]
-    assert got == want
 
 
 def test_verify_records_diff_reports_each_moved_record(tmp_path):
