@@ -327,6 +327,31 @@ def test_deficit_column_tracks_free_twin():
     assert np.all(np.isfinite(deficits))
 
 
+@pytest.mark.parametrize("boundary", solver.BOUNDARIES)
+@pytest.mark.parametrize("kind", [kind for kind in Kind if kind is not Kind.FREE_WAVE_5D])
+def test_free_twin_leaves_the_nonlinear_run_unchanged(kind, boundary):
+    # tracking the twin adds the deficit column and changes no other bit
+    g = RadialGrid(6.0, 128)
+    r = g.nodes
+    model = ModelSpec(kind, alpha=1.1 if kind in ALPHA_KINDS else None)
+    st = FieldState(0.0, 0.3 * np.exp(-(r**2)), -0.2 * r * np.exp(-(r**2)), g, model)
+    runs = [integrate(st, 0.5 * g.dr, 8.0, cadence=16, boundary=boundary, lightcone_t0=4.0,
+                      track_deficit=track) for track in (False, True)]
+    for name in TraceRow.__slots__:
+        if name != "deficit":
+            a, b = (run.column(name) for run in runs)
+            assert a.tobytes() == b.tobytes(), name
+    assert np.isnan(runs[0].column("deficit")).all()
+    assert (runs[1].column("deficit")[1:] > 0.0).all()
+    (a, b) = (run.final_state for run in runs)
+    assert (a.t, a.v.tobytes(), a.vt.tobytes()) == (b.t, b.v.tobytes(), b.vt.tobytes())
+    assert runs[0].blew_up == runs[1].blew_up
+    # and the twin is the free run on its own
+    free = integrate(FieldState(0.0, st.v, st.vt, g, FREE), 0.5 * g.dr, 8.0, cadence=10**9,
+                     boundary=boundary).final_state
+    assert runs[1].rows[-1].deficit == _deficit_norm(g, a.v - free.v, a.vt - free.vt)
+
+
 def test_deficit_column_ends_on_the_scattering_deficit():
     # a tracked run's last deficit is the handoff-at-0 scattering deficit
     st = gaussian_state(RadialGrid(14.0, 256), ADKINS_NAPPI, amplitude=0.2)
@@ -479,13 +504,13 @@ def test_trace_reaches_final_time_with_ragged_cadence():
 STEP_GOLDEN = Path(__file__).parent / "golden" / "step_rk4.sha256"
 
 
-def _collapse_step_digest(kind):
+def _collapse_step_digest(kind, boundary):
     """sha256 of the float64 bytes of t, v and vt after 50 RK4 steps of collapse data."""
     g = RadialGrid(8.0, 16384)
     v0, vt0 = turok_spergel_collapse_data(1.0, g.nodes)
     st = FieldState(0.0, v0, vt0, g, ModelSpec(kind, alpha=1.0 if kind in ALPHA_KINDS else None))
     for _ in range(50):
-        st = step_rk4(st, 0.5 * g.dr)
+        st = step_rk4(st, 0.5 * g.dr, boundary)
     return hashlib.sha256(np.float64(st.t).tobytes() + st.v.tobytes() + st.vt.tobytes()).hexdigest()
 
 
@@ -505,7 +530,10 @@ def test_step_rk4_matches_golden_digests():
     written = golden.pop("numpy")
     assert written == np.__version__, (
         f"digests were written under numpy {written}, this is numpy {np.__version__}")
-    assert golden == {kind.value: _collapse_step_digest(kind) for kind in Kind}
+    want = {kind.value: _collapse_step_digest(kind, "pin") for kind in Kind}
+    want.update({f"{kind.value} sommerfeld": _collapse_step_digest(kind, "sommerfeld")
+                 for kind in Kind})
+    assert golden == want
 
 
 # the allocation peak of one warm step, in arrays of N + 1 doubles, of the
