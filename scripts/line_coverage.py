@@ -24,9 +24,9 @@ PACKAGE = ROOT / "src" / "skyrmelab"
 # line) -> why no Tier-1 test runs it; keyed by text rather than line number, so
 # that edits elsewhere in a file keep it
 ALLOWED = {
-    ("solver.py", "_rhs", 'raise DomainError("non-finite field samples")'):
-        "_rhs's guard; huge data reach it, and the benchmark's self-test expects that "
-        "DomainError until blow-up becomes a flag there too (ROADMAP item 3)",
+    ("solver.py", "_rk4_stepper.<locals>.rates", 'raise DomainError("non-finite field samples")'):
+        "the stepper's stage guard; huge data reach it, and the benchmark's self-test expects "
+        "that DomainError until blow-up becomes a flag there too (ROADMAP item 3)",
     ("verify.py", "grid_calculus_checks", "ok = False"):
         "the failure branch of a check that passes; only fault injection reaches it",
     ("cli.py", "<module>", "sys.exit(main())"):

@@ -14,11 +14,15 @@ one-sided/biased 4th-order closures.  The stencils hold integer numerators
 and depend on no dr; the one division by 12 dr^k comes after the product,
 which keeps constants differentiating to an exact zero.
 
-Each stencil runs as one CSR product, its matrix built once per node count
-(the last 8 node counts stay cached): a step at N <= 1024 is bound by per-call
-overhead, which one compiled product keeps to a few microseconds.
+D1 and D2 run as one CSR product of a block matrix that stacks them over B
+runs of samples (the solver's members), built once per node count and B; the
+last 8 node counts stay cached at B = 1 and 2.  At B = 1 its first N + 1 rows
+are D1, so the kernels below and a one-member step share one matrix per node
+count.  A step at N <= 1024 is bound by per-call overhead, which one compiled
+product keeps to a few microseconds.
 """
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,35 +56,41 @@ _STENCILS = ((_D1, _D1_EDGE), (_D2, _D2_EDGE))
 _MIN_NODES = 6
 
 
-@lru_cache(maxsize=16)  # D1 and D2 on the last 8 node counts
-def _stencil_csr(n, k):
-    """_STENCILS[k] on n nodes as the CSR arrays (indptr, indices, data) of its
-    integer weights.
+@lru_cache(maxsize=16)  # the last 8 node counts, each with one and with two members
+def _stencil_csr(n, members):
+    """The block matrix [D1 (x) I; D2 (x) I] on `members` runs of n samples, as the
+    CSR arrays (indptr, indices, data) of its integer weights: D1 on each run,
+    then D2 on each.  With one member, its first n rows are D1 alone.
 
-    Rows 0 and 1 read their mirror columns, the last two rows carry the edge
-    closures, and every row stores its terms in stencil order: a product sums
-    each row from 0.0 term by term, as a ghost-extended stencil does.
+    Rows 0 and 1 of each stencil read their mirror columns, its last two rows
+    carry the edge closures, and every row stores its terms in stencil order: a
+    product sums each row from 0.0 term by term, as a ghost-extended stencil does.
     """
     if n < _MIN_NODES:
         raise ContractError(f"the stencils need at least {_MIN_NODES} samples, got {n}")
-    (offsets, weights), edges = _STENCILS[k]
-    cols = [np.abs(j + np.array(offsets)) for j in (0, 1)]
-    cols += [np.add.outer(np.arange(2, n - 2), offsets).ravel()]
-    cols += [n - back + np.array(offs) for back, (offs, _) in zip((2, 1), edges)]
-    data = weights * (n - 2) + sum((ws for _, ws in edges), ())
-    rows = [len(offsets)] * (n - 2) + [len(ws) for _, ws in edges]
-    # int32 indices take half the bytes of int64
-    return np.cumsum([0] + rows, dtype=np.int32), np.concatenate(cols).astype(np.int32), np.array(data)
+    rows, cols, data = [[0]], [], []
+    for (offsets, weights), edges in _STENCILS:
+        offsets = np.array(offsets, dtype=np.int32)  # int32 indices take half the bytes
+        for m in range(members):
+            cols += [np.abs(j + offsets) + m * n for j in (0, 1)]
+            cols += [np.add.outer(np.arange(2, n - 2, dtype=np.int32) + m * n, offsets)]
+            cols += [n - back + m * n + np.array(offs, dtype=np.int32)
+                     for back, (offs, _) in zip((2, 1), edges)]
+            rows += [np.broadcast_to(len(offsets), n - 2), [len(ws) for _, ws in edges]]
+            data += [np.broadcast_to(weights, (n - 2, len(weights)))] + [ws for _, ws in edges]
+    # axis=None flattens each piece straight into the result, broadcasts included
+    return (np.cumsum(np.concatenate(rows, axis=None), dtype=np.int32),
+            np.concatenate(cols, axis=None), np.concatenate(data, axis=None, dtype=float))
 
 
-def _stencil_product(values, k):
-    """_STENCILS[k] times the samples by csr_matvec, the loop `@` runs, without the
-    dispatch that costs more than the product at N = 256 (3.5 vs 2.4 us).  The
-    matrix is the one for values.size nodes, and the builder refuses too few
-    nodes, so every column index is in bounds."""
-    n = values.size
-    out = np.zeros(n)
-    csr_matvec(n, n, *_stencil_csr(n, k), values, out)
+def _stencil_product(values, out, members=1):
+    """Add the first out.size rows of the block for the flat samples of `members`
+    runs into out, zeroed by the caller so that each row sums from 0.0.
+
+    csr_matvec is the loop `@` runs, without the dispatch that costs more than
+    the product at N = 256 (3.5 vs 2.4 us).  out holds at most twice the samples
+    and the builder refuses too few nodes, so every index is in bounds."""
+    csr_matvec(out.size, values.size, *_stencil_csr(values.size // members, members), values, out)
     return out
 
 
@@ -97,8 +107,8 @@ class RadialGrid:
             raise ConfigError(f"the node count must be an integer, got {self.N!r}") from None
         if not self.N >= 8:
             raise ConfigError(f"need N >= 8 interior cells, got {self.N}")
-        if not self.R > 0:
-            raise ConfigError(f"outer radius must be positive, got {self.R}")
+        if not (isinstance(self.R, numbers.Real) and self.R > 0):
+            raise ConfigError(f"outer radius must be a positive real, got {self.R!r}")
         if not math.isfinite(self.R):
             raise ConfigError(f"outer radius must be finite, got {self.R}")
         object.__setattr__(self, "nodes", np.linspace(0.0, self.R, self.N + 1))
@@ -124,7 +134,7 @@ class FieldSamples:
 
 def even_d_r(values, g):
     """f_r of an even field's samples (odd, so exactly 0 at the axis)."""
-    f_r = _stencil_product(values, 0)
+    f_r = _stencil_product(values, np.zeros(values.size))
     f_r /= 12.0 * g.dr
     f_r[0] = 0.0  # the reflected terms cancel up to rounding
     return f_r
@@ -132,7 +142,7 @@ def even_d_r(values, g):
 
 def even_derivatives(values, g):
     """(f_r, f_rr) of an even field's samples."""
-    f_r, f_rr = _stencil_product(values, 0), _stencil_product(values, 1)
+    f_r, f_rr = _stencil_product(values, np.zeros(2 * values.size)).reshape(2, -1)
     h = g.dr
     f_r /= 12.0 * h
     f_r[0] = 0.0

@@ -26,6 +26,7 @@ the u-forms that the tests compare against live in tests/uform.py.
 The energy density is returned as (integrand) * r^2 so a plain dr-integral
 gives the conserved total.
 """
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,7 +53,7 @@ class ModelSpec:
     """A model and its Skyrme coupling: the one place the alpha rule lives.
 
     kind is a Kind or its name; any other value is a DomainError.  The models
-    in ALPHA_KINDS need a finite alpha > 0; the other four take none, and
+    in ALPHA_KINDS need a finite real alpha > 0; the other four take none, and
     giving them one is a DomainError rather than a silent no-op.
     """
     kind: Kind
@@ -65,8 +66,8 @@ class ModelSpec:
             raise DomainError(f"unknown model {self.kind!r}, expected one of "
                               f"{[k.value for k in Kind]}") from None
         if self.kind in ALPHA_KINDS:
-            if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
-                raise DomainError(f"{self.kind.value} needs alpha > 0, got {self.alpha}")
+            if not (isinstance(self.alpha, numbers.Real) and 0 < self.alpha < np.inf):
+                raise DomainError(f"{self.kind.value} needs a real alpha > 0, got {self.alpha!r}")
         elif self.alpha is not None:
             raise DomainError(f"{self.kind.value} takes no alpha, got {self.alpha}")
 

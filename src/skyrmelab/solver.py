@@ -3,6 +3,9 @@
 The PDE is reduced to the first-order system (v, v_t) on the radial grid and
 stepped with classical RK4.  Spatial derivatives are the 4th-order parity
 stencils from grid, so refinement at fixed cfl converges at 4th order overall.
+One stepper advances B members, the run's state and, under track_deficit, its
+free twin, as one (2, B, N + 1) array in stage buffers it owns, with one CSR
+product per stage for every member's v_r and v_rr; step_rk4 is its B = 1 case.
 
 Outer boundary.  The default closure pins the last two nodes (their time
 derivatives are forced to zero).  With data that decays before r = R and a run
@@ -19,9 +22,9 @@ gradient trip (a sampled sup|u_r| above growth_threshold times its initial
 value) and the hard stop (sup|v| > HARD_SUP, or a non-finite v or v_t) end the
 run, set trace.blew_up and flag the last row.  detect_blowup only measures a
 finished trace.  One exception remains: when an RK4 stage overflows, as 1e70
-data does under skyrme, adkins-nappi and adkins-nappi-approx, _rhs raises
-DomainError("non-finite field samples") before integrate sees the state
-(ROADMAP item 3).
+data does under skyrme, adkins-nappi and adkins-nappi-approx, the stepper's
+stage guard raises DomainError("non-finite field samples") before integrate
+sees the state (ROADMAP item 3).
 """
 import math
 from dataclasses import dataclass, field
@@ -29,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
-from .grid import (RadialGrid, _simpson, even_d_r, even_derivatives, laplacian5_from,
-                   radial_integral)
+from .grid import RadialGrid, _simpson, _stencil_product, even_d_r, radial_integral
 from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
 
 GROWTH_THRESHOLD = 100.0
@@ -102,44 +104,74 @@ class ScatteringDeficit:
     deficit: float
 
 
-def _rhs(state, v, vt, boundary):
-    """(dv/dt, dvt/dt) with the boundary closure folded in.
+def _rk4_stepper(init, dt, boundary, members):
+    """(Y, step): classical RK4 at step dt on `members` copies of init's data, held
+    as one C-ordered (2, members, N + 1) array Y: Y[0] the v, Y[1] the v_t of each.
 
-    The samples the stencils read must be finite (DomainError otherwise);
-    what the nonlinearity makes of them is not checked.
+    Member 0 follows init.model, any other the free wave.  step() advances Y in
+    place through stage buffers the stepper owns; one CSR product gives v_r and
+    v_rr of every member, and each stage takes the textbook form's operands, so
+    every value keeps its bits.  A non-finite v of any member in a stage, or v_t
+    under sommerfeld, is a DomainError.
     """
-    g = state.grid
-    if not np.isfinite(v).all() or (boundary == "sommerfeld" and not np.isfinite(vt).all()):
-        raise DomainError("non-finite field samples")
-    v_r, v_rr = even_derivatives(v, g)
-    acc = laplacian5_from(v_r, v_rr, g)
-    acc += _neg_nonlinearity(state.model, g.nodes, v, v_r, vt)
-    dv = vt.copy()
-    if boundary == "pin":
-        dv[-2:] = 0.0
-        acc[-2:] = 0.0
-    else:  # sommerfeld
-        vt_r = even_d_r(vt, g)
-        acc[-2:] = -vt_r[-2:] - 2.0 * vt[-2:] / g.nodes[-2:]
-    return dv, acc
+    test, demand = OPTION_RULES["boundary"]
+    if not test(boundary):
+        raise ConfigError(f"boundary {demand}, got {boundary!r}")
+    g, model, r = init.grid, init.model, init.grid.nodes
+    if not abs(dt) <= CFL_ENVELOPE * g.dr * (1 + 1e-12):  # NaN fails it too
+        raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={g.dr}")
+    Y = np.empty((2, members, g.N + 1))
+    Y[0], Y[1] = init.v, init.vt
+    Ys, S, K, P = (np.empty_like(Y) for _ in range(4))  # stage state, k sum, slopes, products
+    scale = np.array([12.0 * g.dr, 12.0 * g.dr**2])[:, None, None]
+    # every view a step reads or writes, made once; dv is scratch until it is set
+    (v_r, v_rr), (dv, acc) = P, K
+    P_flat, edges, v_r0, acc0 = P.reshape(-1), K[..., -2:], v_r[0], acc[0]
+    lap = v_r[:, 1:], dv[:, 1:], r[1:], v_rr[:, 1:], acc[:, 1:], v_rr[:, 0], acc[:, 0]
+    at_Y, at_Ys = ((X[0], X[1], X[0].reshape(-1), X[0, 0], X[1, 0]) for X in (Y, Ys))
+    nonlinear, pin = model.kind is not Kind.FREE_WAVE_5D, boundary == "pin"
+    # the free wave's -N is v - v, +0.0 for finite v, which its members skip: the
+    # Laplacian sums start from +0.0, so only samples near 1e-308 can make it -0.0
+
+    def rates(v, vt, v_flat, v0, vt0):
+        """K = d/dt of the members whose v and v_t are given."""
+        if not np.isfinite(v).all() or not (pin or np.isfinite(vt).all()):
+            raise DomainError("non-finite field samples")
+        P.fill(0.0)
+        _stencil_product(v_flat, P_flat, members)
+        np.divide(P, scale, out=P)
+        v_r[:, 0] = 0.0  # the reflected terms cancel up to rounding
+        v_r_in, scratch, r_in, v_rr_in, acc_in, v_rr_axis, acc_axis = lap  # laplacian5_from
+        np.add(v_rr_in, np.divide(np.multiply(v_r_in, 4.0, out=scratch), r_in, out=scratch),
+               out=acc_in)
+        np.multiply(v_rr_axis, 5.0, out=acc_axis)
+        if nonlinear:
+            np.add(acc0, _neg_nonlinearity(model, r, v0, v_r0, vt0), out=acc0)
+        np.copyto(dv, vt)
+        if pin:
+            edges.fill(0.0)
+        else:  # sommerfeld
+            vt_r = _stencil_product(vt.reshape(-1), np.zeros(vt.size), members).reshape(vt.shape)
+            acc[:, -2:] = -(vt_r[:, -2:] / scale[0]) - 2.0 * vt[:, -2:] / r[-2:]
+
+    def step():
+        rates(*at_Y)
+        np.copyto(S, K)  # k1 + 2 k2 + 2 k3 + k4, added up as the stages come
+        for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.add(np.multiply(K, c * dt, out=Ys), Y, out=Ys)
+            rates(*at_Ys)
+            # the spent stage state is the scratch for weight * K
+            np.add(S, K if weight == 1.0 else np.multiply(K, weight, out=Ys), out=S)
+        np.add(Y, np.multiply(S, dt / 6.0, out=S), out=Y)
+
+    return Y, step
 
 
 def step_rk4(state, dt, boundary="pin"):
     """One classical RK4 step of the (v, v_t) system; deterministic."""
-    test, demand = OPTION_RULES["boundary"]
-    if not test(boundary):
-        raise ConfigError(f"boundary {demand}, got {boundary!r}")
-    if not abs(dt) <= CFL_ENVELOPE * state.grid.dr * (1 + 1e-12):  # NaN fails it too
-        raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={state.grid.dr}")
-    v, vt = state.v, state.vt
-    kv, ka = _rhs(state, v, vt, boundary)
-    sum_v, sum_a = kv, ka  # k1 + 2 k2 + 2 k3 + k4, added up as the stages come
-    for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        kv, ka = _rhs(state, v + c * dt * kv, vt + c * dt * ka, boundary)
-        sum_v += weight * kv
-        sum_a += weight * ka
-    return FieldState(state.t + dt, v + dt / 6.0 * sum_v, vt + dt / 6.0 * sum_a,
-                      state.grid, state.model)
+    Y, step = _rk4_stepper(state, dt, boundary, 1)
+    step()
+    return FieldState(state.t + dt, Y[0, 0], Y[1, 0], state.grid, state.model)
 
 
 def sup_abs_u(state, window=None):
@@ -211,15 +243,13 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     if cadence <= 0:
         cadence = max(1, n_steps // 256)
     trace = DiagnosticsTrace()
-    state = init.copy()
-    twin = None
-    if track_deficit and init.model.kind is not Kind.FREE_WAVE_5D:
-        twin = FieldState(init.t, init.v.copy(), init.vt.copy(), init.grid,
-                          ModelSpec(Kind.FREE_WAVE_5D))
+    twin = track_deficit and init.model.kind is not Kind.FREE_WAVE_5D
+    Y, step_members = _rk4_stepper(init, dt_actual, boundary, 2 if twin else 1)
+    state = FieldState(init.t, Y[0, 0], Y[1, 0], init.grid, init.model)  # views of member 0
 
     initial_gradient = None
 
-    def sample(state, twin):
+    def sample():
         nonlocal initial_gradient
         v_r = even_d_r(state.v, state.grid)
         sup_u = sup_abs_u(state, sup_window)
@@ -227,8 +257,8 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
         if initial_gradient is None:
             initial_gradient = max(sup_ur, 1e-300)
         deficit = math.nan
-        if twin is not None:
-            deficit = _deficit_norm(state.grid, state.v - twin.v, state.vt - twin.vt)
+        if twin:
+            deficit = _deficit_norm(state.grid, *(Y[:, 0] - Y[:, 1]))
         row = TraceRow(
             t=state.t,
             total_energy=total_energy(state, v_r),
@@ -242,24 +272,23 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
         trace.rows.append(row)
         return sup_ur > growth_threshold * initial_gradient
 
-    stopped = sample(state, twin)
+    stopped = sample()
     for step in range(1, n_steps + 1):
         if stopped:
             break
-        state = step_rk4(state, dt_actual, boundary)
-        if twin is not None:
-            twin = step_rk4(twin, dt_actual, boundary)
+        step_members()
+        state.t += dt_actual
         # NaN in v fails the comparison too
         if not (np.abs(state.v).max() <= HARD_SUP and np.isfinite(state.vt).all()):
             trace.rows.append(TraceRow(state.t, math.nan, math.nan, math.nan, math.nan,
                                        math.nan, 0))
             stopped = True
         elif step % cadence == 0 or step == n_steps:
-            stopped = sample(state, twin)
+            stopped = sample()
     if stopped:
         trace.blew_up = True
         trace.rows[-1].blowup_flag = 1
-    trace.final_state = state
+    trace.final_state = state.copy()
     return trace
 
 

@@ -25,6 +25,10 @@ def test_grid_validation():
     for N in (16.0, "16", None, np.float64(16.0)):
         with pytest.raises(ConfigError, match="must be an integer"):
             RadialGrid(20.0, N)
+    for R in ("10", 10 + 0j, None):
+        with pytest.raises(ConfigError, match="must be a positive real"):
+            RadialGrid(R, 64)
+    assert np.array_equal(RadialGrid(np.float64(10.0), 64).nodes, g.nodes)
 
 
 @pytest.mark.parametrize("R", [math.nan, math.inf])

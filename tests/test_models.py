@@ -136,6 +136,9 @@ def test_alpha_validation():
         ModelSpec(Kind.SKYRME_APPROX, alpha=-2.0)
     with pytest.raises(DomainError):
         ModelSpec(Kind.SKYRME, alpha=math.inf)
+    for alpha in ("1.0", 1 + 0j):
+        with pytest.raises(DomainError, match="needs a real alpha > 0"):
+            ModelSpec(Kind.SKYRME, alpha=alpha)
     ModelSpec(Kind.WAVE_MAP)  # alpha not needed
     for kind in set(Kind) - set(ALPHA_KINDS):
         with pytest.raises(DomainError, match="takes no alpha"):
