@@ -27,8 +27,6 @@ ALLOWED = {
     ("solver.py", "_rk4_stepper.<locals>.rates", 'raise DomainError("non-finite field samples")'):
         "the stepper's stage guard; huge data reach it, and the benchmark's self-test expects "
         "that DomainError until blow-up becomes a flag there too (ROADMAP item 3)",
-    ("verify.py", "grid_calculus_checks", "ok = False"):
-        "the failure branch of a check that passes; only fault injection reaches it",
     ("cli.py", "<module>", "sys.exit(main())"):
         "runs only when the module is executed as a script",
 }

@@ -16,10 +16,10 @@ which keeps constants differentiating to an exact zero.
 
 D1 and D2 run as one CSR product of a block matrix that stacks them over B
 runs of samples (the solver's members), built once per node count and B; the
-last 8 node counts stay cached at B = 1 and 2.  At B = 1 its first N + 1 rows
-are D1, so the kernels below and a one-member step share one matrix per node
-count.  A step at N <= 1024 is bound by per-call overhead, which one compiled
-product keeps to a few microseconds.
+last 8 node counts stay cached at B = 1 and 2.  The Laplacian kernel below, run
+by the stepper and by the checked laplacian5, owns that product, its scales and
+the axis rule; even_d_r reads D1 alone, the first N + 1 rows at B = 1.  A step
+at N <= 1024 is bound by per-call overhead, which one product keeps small.
 """
 import math
 import numbers
@@ -83,17 +83,6 @@ def _stencil_csr(n, members):
             np.concatenate(cols, axis=None), np.concatenate(data, axis=None, dtype=float))
 
 
-def _stencil_product(values, out, members=1):
-    """Add the first out.size rows of the block for the flat samples of `members`
-    runs into out, zeroed by the caller so that each row sums from 0.0.
-
-    csr_matvec is the loop `@` runs, without the dispatch that costs more than
-    the product at N = 256 (3.5 vs 2.4 us).  out holds at most twice the samples
-    and the builder refuses too few nodes, so every index is in bounds."""
-    csr_matvec(out.size, values.size, *_stencil_csr(values.size // members, members), values, out)
-    return out
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     R: float
@@ -130,31 +119,41 @@ class FieldSamples:
 
 
 # Unvalidated kernels on raw samples: NaN and inf propagate, which the solver
-# relies on.  d_r and laplacian5 below are the checked public forms.
+# relies on.  d_r and laplacian5 below are the checked public forms.  Each runs
+# csr_matvec, the loop `@` runs, without the dispatch that costs more than the
+# product at N = 256 (3.5 vs 2.4 us).  It adds into its output, zeroed first so
+# that each row sums from 0.0, and the builder refuses too few nodes to index.
 
 def even_d_r(values, g):
-    """f_r of an even field's samples (odd, so exactly 0 at the axis)."""
-    f_r = _stencil_product(values, np.zeros(values.size))
+    """f_r of an even field's samples (odd, so exactly 0 at the axis): D1 alone, the
+    first N + 1 rows of the one-member block, for half the cost of D1 and D2."""
+    f_r = np.zeros(values.size)
+    csr_matvec(values.size, values.size, *_stencil_csr(values.size, 1), values, f_r)
     f_r /= 12.0 * g.dr
     f_r[0] = 0.0  # the reflected terms cancel up to rounding
     return f_r
 
 
-def even_derivatives(values, g):
-    """(f_r, f_rr) of an even field's samples."""
-    f_r, f_rr = _stencil_product(values, np.zeros(2 * values.size)).reshape(2, -1)
-    h = g.dr
-    f_r /= 12.0 * h
-    f_r[0] = 0.0
-    f_rr /= 12.0 * h**2
-    return f_r, f_rr
+def _laplacian5(g, members, acc):
+    """(P, laplacian): laplacian(f), f a C-ordered (members, N + 1) array of even
+    fields, writes their f_r into P[0], their f_rr into P[1] and f_rr + (4/r) f_r
+    into acc, whose axis value is the limit 5 f_rr(0).  Every array and view is
+    made here, once per grid and member count, so a call does only arithmetic."""
+    P, csr = np.empty((2, members, g.N + 1)), _stencil_csr(g.N + 1, members)
+    scale = np.array([12.0 * g.dr, 12.0 * g.dr**2])[:, None, None]
+    (f_r, f_rr), r_in, acc_in, acc_axis = P, g.nodes[1:], acc[:, 1:], acc[:, 0]
+    f_r_axis, f_r_in, f_rr_in, f_rr_axis = f_r[:, 0], f_r[:, 1:], f_rr[:, 1:], f_rr[:, 0]
 
+    def laplacian(f):
+        P.fill(0.0)
+        csr_matvec(P.size, f.size, *csr, f, P)  # on the flat samples of f and P
+        np.divide(P, scale, out=P)
+        f_r_axis.fill(0.0)  # the reflected terms cancel up to rounding
+        np.multiply(f_r_in, 4.0, out=acc_in)
+        np.add(f_rr_in, np.divide(acc_in, r_in, out=acc_in), out=acc_in)
+        np.multiply(f_rr_axis, 5.0, out=acc_axis)
 
-def laplacian5_from(f_r, f_rr, g):
-    """f_rr + (4/r) f_r, the axis value being the limit 5 f_rr(0); overwrites f_rr."""
-    f_rr[1:] += 4.0 * f_r[1:] / g.nodes[1:]
-    f_rr[0] *= 5.0
-    return f_rr
+    return P, laplacian
 
 
 def _checked(f, g):
@@ -177,8 +176,9 @@ def laplacian5(f, g):
     """f_rr + (4/r) f_r for even fields; the axis value is the limit 5 f_rr(0)."""
     if f.parity is not Parity.EVEN:
         raise ContractError("the 5D radial Laplacian acts on even fields")
-    values = _checked(f, g)
-    return FieldSamples(laplacian5_from(*even_derivatives(values, g), g), Parity.EVEN)
+    lap = np.empty((1, g.N + 1))
+    _laplacian5(g, 1, lap)[1](_checked(f, g))
+    return FieldSamples(lap[0], Parity.EVEN)
 
 
 def radial_integral(f, g, weight_power=0):

@@ -123,14 +123,14 @@ def _neg_nonlinearity(model, r, v, v_r, v_t):
 def energy_density_v(model, r, v, v_r, v_t):
     """Conserved-energy integrand times r^2, stably from v-variables; valid down to r = 0."""
     r = np.asarray(r, dtype=float)
+    kind, alpha = model.kind, model.alpha
+    if kind is Kind.FREE_WAVE_5D:
+        return r**4 * (np.asarray(v_t) ** 2 + np.asarray(v_r) ** 2) / 2.0
     v = np.asarray(v, dtype=float)
     u = r * v
     u_t = r * np.asarray(v_t)
     u_r = v + r * np.asarray(v_r)
-    kind, alpha = model.kind, model.alpha
     kin = (u_t * u_t + u_r * u_r) * r * r / 2.0
-    if kind is Kind.FREE_WAVE_5D:
-        return r**4 * (np.asarray(v_t) ** 2 + np.asarray(v_r) ** 2) / 2.0
     if kind is Kind.WAVE_MAP:
         return kin + np.sin(u) ** 2
     if kind is Kind.SKYRME:

@@ -4,8 +4,8 @@ The PDE is reduced to the first-order system (v, v_t) on the radial grid and
 stepped with classical RK4.  Spatial derivatives are the 4th-order parity
 stencils from grid, so refinement at fixed cfl converges at 4th order overall.
 One stepper advances B members, the run's state and, under track_deficit, its
-free twin, as one (2, B, N + 1) array in stage buffers it owns, with one CSR
-product per stage for every member's v_r and v_rr; step_rk4 is its B = 1 case.
+free twin, as one (2, B, N + 1) array in stage buffers it owns, with grid's
+Laplacian kernel for every member's v_r, v_rr and Laplacian; step_rk4 is B = 1.
 
 Outer boundary.  The default closure pins the last two nodes (their time
 derivatives are forced to zero).  With data that decays before r = R and a run
@@ -27,12 +27,13 @@ stage guard raises DomainError("non-finite field samples") before integrate
 sees the state (ROADMAP item 3).
 """
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
-from .grid import RadialGrid, _simpson, _stencil_product, even_d_r, radial_integral
+from .grid import RadialGrid, _laplacian5, _simpson, even_d_r, radial_integral
 from .models import Kind, ModelSpec, _neg_nonlinearity, energy_density_v
 
 GROWTH_THRESHOLD = 100.0
@@ -109,10 +110,10 @@ def _rk4_stepper(init, dt, boundary, members):
     as one C-ordered (2, members, N + 1) array Y: Y[0] the v, Y[1] the v_t of each.
 
     Member 0 follows init.model, any other the free wave.  step() advances Y in
-    place through stage buffers the stepper owns; one CSR product gives v_r and
-    v_rr of every member, and each stage takes the textbook form's operands, so
-    every value keeps its bits.  A non-finite v of any member in a stage, or v_t
-    under sommerfeld, is a DomainError.
+    place through stage buffers the stepper owns; grid's Laplacian kernel gives
+    every member's v_r, v_rr and Laplacian from one CSR product, and each stage
+    takes the textbook form's operands, so every value keeps its bits.  A
+    non-finite v of any member in a stage, or v_t under sommerfeld, is a DomainError.
     """
     test, demand = OPTION_RULES["boundary"]
     if not test(boundary):
@@ -122,37 +123,31 @@ def _rk4_stepper(init, dt, boundary, members):
         raise ConfigError(f"dt={dt} violates the CFL budget {CFL_ENVELOPE} * dr={g.dr}")
     Y = np.empty((2, members, g.N + 1))
     Y[0], Y[1] = init.v, init.vt
-    Ys, S, K, P = (np.empty_like(Y) for _ in range(4))  # stage state, k sum, slopes, products
-    scale = np.array([12.0 * g.dr, 12.0 * g.dr**2])[:, None, None]
-    # every view a step reads or writes, made once; dv is scratch until it is set
-    (v_r, v_rr), (dv, acc) = P, K
-    P_flat, edges, v_r0, acc0 = P.reshape(-1), K[..., -2:], v_r[0], acc[0]
-    lap = v_r[:, 1:], dv[:, 1:], r[1:], v_rr[:, 1:], acc[:, 1:], v_rr[:, 0], acc[:, 0]
-    at_Y, at_Ys = ((X[0], X[1], X[0].reshape(-1), X[0, 0], X[1, 0]) for X in (Y, Ys))
+    Ys, S, K = (np.empty_like(Y) for _ in range(3))  # stage state, k sum, slopes
+    dv, acc = K
+    P, laplacian = _laplacian5(g, members, acc)  # P holds the v_r and v_rr it leaves
+    # every view a step reads or writes, made once
+    edges, v_r0, acc0, slope_edge, r_edge = K[..., -2:], P[0, 0], acc[0], P[0, :, -2:], r[-2:]
+    at_Y, at_Ys = ((X[0], X[1], X[0, 0], X[1, 0]) for X in (Y, Ys))
     nonlinear, pin = model.kind is not Kind.FREE_WAVE_5D, boundary == "pin"
     # the free wave's -N is v - v, +0.0 for finite v, which its members skip: the
     # Laplacian sums start from +0.0, so only samples near 1e-308 can make it -0.0
 
-    def rates(v, vt, v_flat, v0, vt0):
+    def rates(v, vt, v0, vt0):
         """K = d/dt of the members whose v and v_t are given."""
         if not np.isfinite(v).all() or not (pin or np.isfinite(vt).all()):
             raise DomainError("non-finite field samples")
-        P.fill(0.0)
-        _stencil_product(v_flat, P_flat, members)
-        np.divide(P, scale, out=P)
-        v_r[:, 0] = 0.0  # the reflected terms cancel up to rounding
-        v_r_in, scratch, r_in, v_rr_in, acc_in, v_rr_axis, acc_axis = lap  # laplacian5_from
-        np.add(v_rr_in, np.divide(np.multiply(v_r_in, 4.0, out=scratch), r_in, out=scratch),
-               out=acc_in)
-        np.multiply(v_rr_axis, 5.0, out=acc_axis)
+        if not pin:  # sommerfeld reads v_t's slope at the last two nodes
+            laplacian(vt)
+            outgoing = -slope_edge - 2.0 * vt[:, -2:] / r_edge
+        laplacian(v)
         if nonlinear:
             np.add(acc0, _neg_nonlinearity(model, r, v0, v_r0, vt0), out=acc0)
         np.copyto(dv, vt)
         if pin:
             edges.fill(0.0)
-        else:  # sommerfeld
-            vt_r = _stencil_product(vt.reshape(-1), np.zeros(vt.size), members).reshape(vt.shape)
-            acc[:, -2:] = -(vt_r[:, -2:] / scale[0]) - 2.0 * vt[:, -2:] / r[-2:]
+        else:
+            acc[:, -2:] = outgoing
 
     def step():
         rates(*at_Y)
@@ -233,8 +228,14 @@ def integrate(init, dt, T, cadence=0, lightcone_t0=None, track_deficit=False,
     """
     for name, value in dict(dt=dt, T=T, cadence=cadence, boundary=boundary, sup_window=sup_window,
                             growth_threshold=growth_threshold, lightcone_t0=lightcone_t0).items():
+        if value is None:  # leaves an option unset
+            continue
+        want, words = ((numbers.Integral, "an integer") if name == "cadence"
+                       else (numbers.Real, "a real number"))  # numpy's scalars count
+        if name != "boundary" and not isinstance(value, want):
+            raise ConfigError(f"{name} must be {words}, got {value!r}")
         test, demand = OPTION_RULES.get(name, (None, None))
-        if value is not None and test and not test(value):  # None leaves an option unset
+        if test and not test(value):
             raise ConfigError(f"{name} {demand}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")

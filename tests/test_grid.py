@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skyrmelab.errors import ConfigError, ContractError, DomainError
-from skyrmelab.grid import (FieldSamples, Parity, RadialGrid, d_r, even_d_r, even_derivatives,
+from skyrmelab.grid import (FieldSamples, Parity, RadialGrid, _laplacian5, d_r, even_d_r,
                             laplacian5, radial_integral)
 
 
@@ -100,8 +100,26 @@ def test_stencils_refuse_fewer_samples_than_the_edge_closures_read(n):
     g = RadialGrid(3.0, 8)
     with pytest.raises(ContractError, match="at least 6 samples"):
         even_d_r(np.ones(n), g)
-    with pytest.raises(ContractError, match="at least 6 samples"):
-        even_derivatives(np.ones(n), g)
+
+
+# 8 and 9 are the smallest grids, 16384 the largest the lab steps
+@pytest.mark.parametrize("n", [8, 9, 64, 1000, 4096, 16384])
+def test_laplacian_kernel_gives_each_member_the_bits_of_a_one_member_call(n):
+    # the stepper runs the nonlinear state and its free twin as two members of one call
+    g = RadialGrid(3.0, n)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((2, n + 1)) * 10.0 ** rng.uniform(-300, 300, (2, n + 1))
+    two = np.empty((2, n + 1))
+    P2, laplacian = _laplacian5(g, 2, two)
+    laplacian(f)
+    for m in range(2):
+        one = np.empty((1, n + 1))
+        P1, laplacian = _laplacian5(g, 1, one)
+        laplacian(f[m:m + 1])
+        # bytes, not values: overflow can leave inf and NaN, which must match too
+        assert P2[:, m].tobytes() == P1[:, 0].tobytes() and two[m].tobytes() == one[0].tobytes()
+        checked = laplacian5(FieldSamples(f[m], Parity.EVEN), g).values
+        assert checked.tobytes() == one[0].tobytes()
 
 
 def test_d_r_constant_is_zero():

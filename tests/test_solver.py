@@ -480,6 +480,27 @@ def test_integrate_refuses_a_bad_option_by_name(option, value):
         integrate(st, 0.05, 0.0, **{option: value})
 
 
+@pytest.mark.parametrize("option,value", [
+    ("cadence", 2.5), ("cadence", "3"), ("cadence", np.float64(3.0)), ("dt", "0.1"),
+    ("T", "1"), ("T", 1 + 0j), ("sup_window", "5"), ("growth_threshold", "100"),
+    ("lightcone_t0", "1"),
+])
+def test_integrate_refuses_an_option_of_the_wrong_type_by_name(option, value):
+    # a float cadence would sample rows only at the steps it divides, and a string
+    # would meet the range rules as a bare TypeError
+    st = gaussian_state(RadialGrid(10.0, 64), FREE, amplitude=0.1)
+    options = dict(dt=0.05, T=0.0) | {option: value}
+    with pytest.raises(ConfigError, match=f"^{option} must be (an integer|a real number), got"):
+        integrate(st, **options)
+
+
+def test_integrate_takes_a_numpy_integer_cadence():
+    st = gaussian_state(RadialGrid(10.0, 64), FREE, amplitude=0.1)
+    times = integrate(st, 0.05, 0.5, cadence=np.int64(3)).column("t")
+    assert times.tolist() == integrate(st, 0.05, 0.5, cadence=3).column("t").tolist()
+    assert len(times) == 5  # steps 0, 3, 6, 9 and the last, 10
+
+
 @pytest.mark.parametrize("t0", [0.0, -1.0, 1e-9])
 def test_a_cone_that_has_closed_reads_zero_not_nan(t0):
     # a cone with no whole cell holds no energy: 0.0, and NaN only when unset
@@ -560,15 +581,17 @@ STEP_PEAK_ARRAYS = {
 STEP_PEAK_SLACK = 0.05
 
 
-@pytest.mark.parametrize("kind, N", [
-    pytest.param(kind, N, id=kind.value if N == 16384 else f"{kind.value}-N{N}")
-    for N in STEP_PEAK_ARRAYS for kind in Kind])
-def test_step_rk4_allocation_peak_is_bounded(kind, N):
-    # a warm step of the stepper that integrate runs
+@pytest.mark.parametrize("kind, N, boundary", [
+    pytest.param(kind, N, boundary, id="-".join([kind.value] + [f"N{N}"] * (N != 16384)
+                                                + [boundary] * (boundary != "pin")))
+    for boundary in solver.BOUNDARIES for N in STEP_PEAK_ARRAYS for kind in Kind])
+def test_step_rk4_allocation_peak_is_bounded(kind, N, boundary):
+    # a warm step of the stepper that integrate runs; sommerfeld reads v_t's edge
+    # slopes from the kernel's own products, so it keeps pin's bounds
     g = RadialGrid(8.0, N)
     v0, vt0 = turok_spergel_collapse_data(1.0, g.nodes)
     st = FieldState(0.0, v0, vt0, g, ModelSpec(kind, alpha=1.0 if kind in ALPHA_KINDS else None))
-    _, step = solver._rk4_stepper(st, 0.5 * g.dr, "pin", 1)
+    _, step = solver._rk4_stepper(st, 0.5 * g.dr, boundary, 1)
     step()  # warm: whatever a first step caches (the stencil matrices) is not counted
     tracemalloc.start()
     try:
